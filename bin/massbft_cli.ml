@@ -13,10 +13,8 @@ module Obs_registry = Massbft_obs.Registry
 module Sampler = Massbft_obs.Sampler
 module Exposition = Massbft_obs.Exposition
 module Saturation = Massbft_obs.Saturation
-module Fault_spec = Massbft_faults.Fault_spec
+module Scenario = Massbft_scenario.Scenario
 module Chaos = Massbft_faults.Chaos
-module Adv_spec = Massbft_adversary.Adv_spec
-module Reconfig_spec = Massbft_reconfig.Reconfig_spec
 module Evidence = Massbft_adversary.Evidence
 module Topology = Massbft_sim.Topology
 module Prof = Massbft_prof.Prof
@@ -24,61 +22,29 @@ module Prof_export = Massbft_prof.Prof_export
 module Bench_check = Massbft_harness.Bench_check
 module Bench_report = Massbft_harness.Bench_report
 
-(* Schedule/plan files come from users and CI artifacts: every way they
-   can be wrong must end in a one-line diagnostic naming the file and
-   the first bad token — not a backtrace — and exit 2 (distinct from a
-   run failure's exit 1). *)
-let usage_error = 2
+(* Scenario files come from users and CI artifacts: every way they can
+   be wrong must end in a one-line diagnostic naming the file, the line
+   and the first bad token — not a backtrace — and exit 2 (distinct
+   from a run failure's exit 1). *)
+let die msg =
+  prerr_endline ("massbft: " ^ msg);
+  exit 2
 
-let die_parse ~what ~file msg =
-  prerr_endline (Printf.sprintf "massbft: %s: bad %s: %s" file what msg);
-  exit usage_error
-
-let read_file_or_die ~what file =
-  match open_in file with
-  | exception Sys_error e ->
-      prerr_endline
-        (Printf.sprintf "massbft: cannot read %s %s: %s" what file e);
-      exit usage_error
-  | ic ->
-      let len = in_channel_length ic in
-      let text = really_input_string ic len in
-      close_in ic;
-      text
-
-let parse_faults_or_die ~(spec : Topology.spec) file =
-  let what = "fault schedule" in
-  let text = read_file_or_die ~what file in
-  match Fault_spec.of_string text with
-  | exception Fault_spec.Parse_error msg -> die_parse ~what ~file msg
-  | schedule -> (
+let load_scenario_or_die ~(spec : Topology.spec) file =
+  let text =
+    try In_channel.with_open_bin file In_channel.input_all
+    with Sys_error e ->
+      die (Printf.sprintf "cannot read scenario %s: %s" file e)
+  in
+  match Scenario.of_string text with
+  | exception Scenario.Parse_error { line; token; msg } ->
+      die (Printf.sprintf "%s:%d: bad scenario: %s %S" file line msg token)
+  | scenario -> (
       match
-        Fault_spec.validate ~group_sizes:spec.Topology.group_sizes schedule
+        Scenario.validate ~group_sizes:spec.Topology.group_sizes scenario
       with
-      | Ok () -> schedule
-      | Error msg -> die_parse ~what ~file msg)
-
-let parse_adversary_or_die ~(spec : Topology.spec) file =
-  let what = "adversary plan" in
-  let text = read_file_or_die ~what file in
-  match Adv_spec.of_string text with
-  | exception Adv_spec.Parse_error msg -> die_parse ~what ~file msg
-  | plan -> (
-      match Adv_spec.validate ~group_sizes:spec.Topology.group_sizes plan with
-      | Ok () -> plan
-      | Error msg -> die_parse ~what ~file msg)
-
-let parse_reconfig_or_die ~(spec : Topology.spec) file =
-  let what = "reconfiguration plan" in
-  let text = read_file_or_die ~what file in
-  match Reconfig_spec.of_string text with
-  | exception Reconfig_spec.Parse_error msg -> die_parse ~what ~file msg
-  | plan -> (
-      match
-        Reconfig_spec.validate ~group_sizes:spec.Topology.group_sizes plan
-      with
-      | Ok () -> plan
-      | Error msg -> die_parse ~what ~file msg)
+      | Ok () -> scenario
+      | Error msg -> die (Printf.sprintf "%s: bad scenario: %s" file msg))
 
 let system_conv =
   let parse s =
@@ -91,14 +57,13 @@ let system_conv =
     | "br" -> Ok Config.Br
     | "ebr" -> Ok Config.Ebr
     | other ->
-        (* One line, exit 2 — same contract as a malformed plan file, and
-           terser than cmdliner's usage dump for the common typo. *)
-        prerr_endline
+        (* One line, exit 2 — same contract as a malformed scenario file,
+           and terser than cmdliner's usage dump for the common typo. *)
+        die
           (Printf.sprintf
-             "massbft: unknown system %S (known: massbft, baseline, geobft, \
-              steward, iss, br, ebr)"
-             other);
-        exit usage_error
+             "unknown system %S (known: massbft, baseline, geobft, steward, \
+              iss, br, ebr)"
+             other)
   in
   Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Config.system_name s))
 
@@ -187,26 +152,15 @@ let run_cmd =
                  Prometheus text exposition by default, the JSON export \
                  for a .json destination, the per-tick CSV for .csv.")
   in
-  let faults_file =
-    Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"FILE"
-           ~doc:"Inject the fault schedule in $(docv) (one event per line, \
-                 see DESIGN.md \"Fault model\"; times are absolute simulated \
-                 seconds, so the warm-up window precedes time warmup).")
-  in
-  let adversary_file =
-    Arg.(value & opt (some string) None & info [ "adversary" ] ~docv:"FILE"
-           ~doc:"Arm the Byzantine adversary plan in $(docv) (one strategy \
-                 per line, see DESIGN.md \"Adversary model\"; absolute \
-                 simulated seconds, like --faults).")
-  in
-  let reconfig_file =
-    Arg.(value & opt (some string) None & info [ "reconfig" ] ~docv:"FILE"
-           ~doc:"Execute the live-membership reconfiguration plan in $(docv) \
-                 (one \"@TIME COMMAND\" per line, see DESIGN.md \
-                 \"Reconfiguration\"; absolute simulated seconds, like \
-                 --faults). Joining slots and groups are provisioned before \
-                 the cluster starts and activated at epoch boundaries after \
-                 state transfer. Requires --domains 1.")
+  let scenario_file =
+    Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"FILE"
+           ~doc:"Run the scenario in $(docv): one \"@TIME ACTION\" per line \
+                 mixing faults, Byzantine attacks and membership commands \
+                 (see DESIGN.md \"Scenario language\"). Times are absolute \
+                 simulated seconds, so the warm-up window precedes time \
+                 warmup. Joining slots and groups are provisioned before the \
+                 cluster starts; attacks and membership commands require \
+                 --domains 1.")
   in
   let prof_file =
     Arg.(value & opt (some string) None & info [ "prof" ] ~docv:"FILE"
@@ -218,14 +172,11 @@ let run_cmd =
                  additionally carries the host timeline.")
   in
   let action system workload nodes groups worldwide duration warmup scale seed
-      domains latency_probe trace_file metrics_file faults_file adversary_file
-      reconfig_file prof_file =
+      domains latency_probe trace_file metrics_file scenario_file prof_file =
     let cfg, spec =
       experiment_setup ~system ~workload ~nodes ~groups ~worldwide ~scale ~seed
     in
-    let faults = Option.map (parse_faults_or_die ~spec) faults_file in
-    let adversary = Option.map (parse_adversary_or_die ~spec) adversary_file in
-    let reconfig = Option.map (parse_reconfig_or_die ~spec) reconfig_file in
+    let scenario = Option.map (load_scenario_or_die ~spec) scenario_file in
     let sink = Option.map (fun _ -> Trace.create ()) trace_file in
     let prof = Option.map (fun _ -> Prof.create ()) prof_file in
     let obs =
@@ -234,10 +185,10 @@ let run_cmd =
     let r =
       if latency_probe then
         Runner.run_latency_probe ~duration ~warmup ?trace:sink ?obs ?prof
-          ?faults ?adversary ?reconfig ~domains ~spec ~cfg ()
+          ?scenario ~domains ~spec ~cfg ()
       else
-        Runner.run ~duration ~warmup ?trace:sink ?obs ?prof ?faults ?adversary
-          ?reconfig ~domains ~spec ~cfg ()
+        Runner.run ~duration ~warmup ?trace:sink ?obs ?prof ?scenario ~domains
+          ~spec ~cfg ()
     in
     Format.printf "%a@." Runner.pp_result r;
     List.iter
@@ -284,8 +235,8 @@ let run_cmd =
     Term.(
       const action $ system_arg $ workload_arg $ nodes_arg $ groups_arg
       $ worldwide_arg $ duration $ warmup_arg $ scale_arg $ seed_arg
-      $ domains_arg $ latency_probe $ trace_file $ metrics_file $ faults_file
-      $ adversary_file $ reconfig_file $ prof_file)
+      $ domains_arg $ latency_probe $ trace_file $ metrics_file
+      $ scenario_file $ prof_file)
 
 (* ---- trace ---- *)
 
@@ -409,9 +360,9 @@ let metrics_cmd =
 let drill_cmd =
   let seed =
     Arg.(value & opt int 1 & info [ "seed" ]
-           ~doc:"Chaos seed: deterministically generates the fault schedule \
+           ~doc:"Chaos seed: deterministically generates the scenario \
                  (same seed, system and cluster shape => byte-identical \
-                 schedule and run).")
+                 scenario and run).")
   in
   let seed_range_conv =
     let parse s =
@@ -440,74 +391,49 @@ let drill_cmd =
            ~doc:"Campaign mode: run a seed range instead of --seed; $(docv) \
                  is either N (meaning 1..N) or A..B inclusive.")
   in
-  let strategies_conv =
+  (* A comma-separated list of generator names drawn from [known]. *)
+  let names_conv ~what known =
     let parse s =
-      let names =
+      match
         String.split_on_char ',' s |> List.map String.trim
         |> List.filter (fun x -> x <> "")
-      in
-      if names = [] then Error (`Msg "empty strategy list")
-      else
-        match
-          List.find_opt
-            (fun n -> not (List.mem n Adv_spec.kind_names))
-            names
-        with
-        | Some bad ->
-            Error
-              (`Msg
-                 (Printf.sprintf "unknown strategy %S (known: %s)" bad
-                    (String.concat ", " Adv_spec.kind_names)))
-        | None -> Ok names
+      with
+      | [] -> Error (`Msg ("empty " ^ what ^ " list"))
+      | names -> (
+          match List.find_opt (fun n -> not (List.mem n known)) names with
+          | Some bad ->
+              Error
+                (`Msg
+                   (Printf.sprintf "unknown %s %S (known: %s)" what bad
+                      (String.concat ", " known)))
+          | None -> Ok names)
     in
     Arg.conv
       (parse, fun fmt l -> Format.pp_print_string fmt (String.concat "," l))
   in
   let adversaries =
-    Arg.(value & opt (some strategies_conv) None & info [ "adversary" ]
+    let strategies = names_conv ~what:"strategy" Scenario.attack_names in
+    Arg.(value & opt (some strategies) None & info [ "adversary" ]
            ~docv:"STRAT[,STRAT...]"
            ~doc:"Drill Byzantine adversary strategies instead of random \
                  benign faults: each strategy becomes a campaign axis point \
-                 whose generated plan (plus any trigger faults) runs per \
+                 whose generated attack (plus any trigger faults) runs per \
                  system and seed. A run passes when it upholds every \
                  invariant, or when each safety violation is pinned on a \
                  provably-equivocating node by a verified \
                  conflicting-signed-message evidence pair.")
   in
-  let kinds_conv =
-    let parse s =
-      let names =
-        String.split_on_char ',' s |> List.map String.trim
-        |> List.filter (fun x -> x <> "")
-      in
-      if names = [] then Error (`Msg "empty reconfiguration kind list")
-      else
-        match
-          List.find_opt
-            (fun n -> not (List.mem n Chaos.reconfig_kinds))
-            names
-        with
-        | Some bad ->
-            Error
-              (`Msg
-                 (Printf.sprintf "unknown reconfiguration kind %S (known: %s)"
-                    bad
-                    (String.concat ", " Chaos.reconfig_kinds)))
-        | None -> Ok names
-    in
-    Arg.conv
-      (parse, fun fmt l -> Format.pp_print_string fmt (String.concat "," l))
-  in
   let reconfigs =
-    Arg.(value & opt (some kinds_conv) None & info [ "reconfig" ]
+    let kinds = names_conv ~what:"reconfiguration kind" Chaos.reconfig_kinds in
+    Arg.(value & opt (some kinds) None & info [ "reconfig" ]
            ~docv:"KIND[,KIND...]"
            ~doc:"Drill live membership reconfiguration: each kind becomes a \
                  campaign axis point whose generated membership-change \
                  scenario (plus paired chaos — joins race a mid-transfer \
                  crash of the joining hardware) runs per system and seed. \
                  Composes with --adversary to drill Byzantine behaviour \
-                 during a membership change. The plan is the scenario's \
-                 identity and is never shrunk.")
+                 during a membership change. The membership change is the \
+                 scenario's identity and is never shrunk.")
   in
   let all_systems =
     Arg.(value & flag & info [ "all-systems" ]
@@ -516,7 +442,7 @@ let drill_cmd =
   let duration =
     Arg.(value & opt float 10.0 & info [ "duration"; "d" ]
            ~doc:"Simulated seconds per run (extended automatically past the \
-                 schedule's heal time for the liveness verdict).")
+                 scenario's heal time for the liveness verdict).")
   in
   let quick =
     Arg.(value & flag & info [ "quick" ]
@@ -529,12 +455,14 @@ let drill_cmd =
   in
   let no_shrink =
     Arg.(value & flag & info [ "no-shrink" ]
-           ~doc:"Skip delta-debugging shrink of failing schedules.")
+           ~doc:"Skip delta-debugging shrink of failing scenarios.")
   in
   let artifacts =
     Arg.(value & opt (some string) None & info [ "artifacts" ] ~docv:"DIR"
-           ~doc:"Write each failing schedule (and its shrunk form) to \
-                 $(docv)/fail-SYSTEM-seedS.faults for CI upload.")
+           ~doc:"Write each failing scenario (with its repro line, \
+                 violations and shrunk form as comments) to \
+                 $(docv)/fail-SYSTEM-seedS.scenario for CI upload; \
+                 `massbft run --scenario` replays it.")
   in
   let trace_file =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -569,62 +497,37 @@ let drill_cmd =
         (match r.Chaos.reconfig_kind with None -> "" | Some k -> "-" ^ k)
         r.Chaos.seed
     in
+    let repro (r : Chaos.drill_result) =
+      Chaos.repro_line ?adversary:r.Chaos.strategy
+        ?reconfig:r.Chaos.reconfig_kind ~domains ~seed:r.Chaos.seed
+        ~system:r.Chaos.system ()
+    in
+    (* The scenario replays through `run --scenario`; the repro line,
+       the violations and the shrunk events ride along as comments. *)
     let save_artifact (r : Chaos.drill_result) =
       match artifacts with
       | None -> ()
       | Some dir ->
           (try Unix.mkdir dir 0o755
            with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-          let file = Filename.concat dir (artifact_stem r ^ ".faults") in
+          let file = Filename.concat dir (artifact_stem r ^ ".scenario") in
           let oc = open_out file in
-          Printf.fprintf oc "# %s\n# %s\n%s"
-            (Chaos.repro_line ?adversary:r.Chaos.strategy
-               ?reconfig:r.Chaos.reconfig_kind ~domains ~seed:r.Chaos.seed
-               ~system:r.Chaos.system ())
+          Printf.fprintf oc "# %s\n# %s\n%s" (repro r)
             (String.concat "; "
                (List.map Massbft_faults.Invariants.violation_to_string
                   r.Chaos.outcome.Chaos.violations))
-            (Fault_spec.to_string r.Chaos.outcome.Chaos.schedule);
-          (match r.Chaos.shrunk with
-          | Some s ->
+            (Scenario.to_string r.Chaos.outcome.Chaos.scenario);
+          Option.iter
+            (fun s ->
               Printf.fprintf oc "# shrunk to %d event(s):\n%s"
                 (List.length s)
                 (String.concat ""
                    (List.map
-                      (fun e -> "#   " ^ Fault_spec.event_to_string e ^ "\n")
-                      s))
-          | None -> ());
+                      (fun e -> "#   " ^ Scenario.event_to_string e ^ "\n")
+                      s)))
+            r.Chaos.shrunk;
           close_out oc;
           Format.printf "artifact: wrote %s@." file;
-          (* The adversary plan reproduces through `run --adversary`,
-             so it ships as its own loadable file. *)
-          (if r.Chaos.outcome.Chaos.adversary <> [] then begin
-             let afile = Filename.concat dir (artifact_stem r ^ ".adversary") in
-             let oc = open_out afile in
-             Printf.fprintf oc "%s"
-               (Adv_spec.to_string r.Chaos.outcome.Chaos.adversary);
-             (match r.Chaos.shrunk_adversary with
-             | Some p ->
-                 Printf.fprintf oc "# shrunk to %d event(s):\n%s"
-                   (List.length p)
-                   (String.concat ""
-                      (List.map
-                         (fun e -> "#   " ^ Adv_spec.event_to_string e ^ "\n")
-                         p))
-             | None -> ());
-             close_out oc;
-             Format.printf "artifact: wrote %s@." afile
-           end);
-          (* The membership plan reproduces through `run --reconfig`, so
-             it also ships as its own loadable file. *)
-          (if r.Chaos.outcome.Chaos.reconfig <> [] then begin
-             let rfile = Filename.concat dir (artifact_stem r ^ ".reconfig") in
-             let oc = open_out rfile in
-             output_string oc
-               (Reconfig_spec.to_string r.Chaos.outcome.Chaos.reconfig);
-             close_out oc;
-             Format.printf "artifact: wrote %s@." rfile
-           end);
           match r.Chaos.outcome.Chaos.evidence with
           | [] -> ()
           | pairs ->
@@ -653,43 +556,18 @@ let drill_cmd =
               (if Chaos.accountable r.Chaos.outcome then
                  " — every violation accounted for"
                else ""));
-        if r.Chaos.outcome.Chaos.adversary <> [] then begin
-          Format.printf "  adversary:@.";
+        let events title s =
+          Format.printf "  %s@." title;
           List.iter
-            (fun e -> Format.printf "    %s@." (Adv_spec.event_to_string e))
-            r.Chaos.outcome.Chaos.adversary;
-          match r.Chaos.shrunk_adversary with
-          | Some p ->
-              Format.printf "  adversary shrunk to %d event(s):@."
-                (List.length p);
-              List.iter
-                (fun e ->
-                  Format.printf "    %s@." (Adv_spec.event_to_string e))
-                p
-          | None -> ()
-        end;
-        if r.Chaos.outcome.Chaos.reconfig <> [] then begin
-          Format.printf "  reconfiguration:@.";
-          List.iter
-            (fun e ->
-              Format.printf "    %s@." (Reconfig_spec.event_to_string e))
-            r.Chaos.outcome.Chaos.reconfig
-        end;
-        Format.printf "  schedule:@.";
-        List.iter
-          (fun e -> Format.printf "    %s@." (Fault_spec.event_to_string e))
-          r.Chaos.outcome.Chaos.schedule;
-        (match r.Chaos.shrunk with
-        | Some s ->
-            Format.printf "  shrunk to %d event(s):@." (List.length s);
-            List.iter
-              (fun e -> Format.printf "    %s@." (Fault_spec.event_to_string e))
-              s
-        | None -> ());
-        Format.printf "  repro: %s@."
-          (Chaos.repro_line ?adversary:r.Chaos.strategy
-             ?reconfig:r.Chaos.reconfig_kind ~domains ~seed:r.Chaos.seed
-             ~system:r.Chaos.system ());
+            (fun e -> Format.printf "    %s@." (Scenario.event_to_string e))
+            s
+        in
+        events "scenario:" r.Chaos.outcome.Chaos.scenario;
+        Option.iter
+          (fun s ->
+            events (Printf.sprintf "shrunk to %d event(s):" (List.length s)) s)
+          r.Chaos.shrunk;
+        Format.printf "  repro: %s@." (repro r);
         save_artifact r
       end
     in
@@ -762,12 +640,12 @@ let drill_cmd =
   Cmd.v
     (Cmd.info "drill"
        ~doc:
-         "Chaos drill: generate a seeded random fault schedule (or, with \
-          --adversary, a Byzantine strategy plan; with --reconfig, a live \
-          membership-change scenario under chaos), inject it, and check \
-          safety and liveness invariants; failing schedules and plans are \
-          shrunk to minimal reproducers. Exits nonzero on any violation a \
-          verified evidence pair cannot account for.")
+         "Chaos drill: generate a seeded random scenario of faults (or, \
+          with --adversary, a Byzantine attack; with --reconfig, a live \
+          membership change under chaos), run it, and check safety and \
+          liveness invariants; failing scenarios are shrunk to minimal \
+          reproducers. Exits nonzero on any violation a verified evidence \
+          pair cannot account for.")
     Term.(
       const action $ system_arg $ all_systems $ nodes_arg $ groups_arg
       $ worldwide_arg $ scale $ seed $ seeds $ adversaries $ reconfigs

@@ -4,11 +4,10 @@
    into chunks and flooding the exchange with them; then (2) an entire
    data center loses power; later (3) it comes back.
 
-   The crash and the recovery are ordinary fault-schedule lines (the
-   same DSL `massbft drill` shrinks failures into and `massbft run
-   --faults FILE` replays), applied by the injector. The tampering is
-   an adversary plan in the strategy DSL (`massbft run --adversary
-   FILE` replays these too): a message-level interposer on each
+   The whole drill is one scenario (the same language `massbft drill`
+   shrinks failures into and `massbft run --scenario FILE` replays).
+   Its crash and recovery are fault lines, applied by the injector; its
+   tampering is attack lines: a message-level interposer on each
    compromised node rewrites the chunks it sends, exactly what the
    node *says* rather than what the fabric does. The invariant
    checkers ride along, aware of which nodes are compromised: if a
@@ -23,10 +22,9 @@ module Topology = Massbft_sim.Topology
 module Config = Massbft.Config
 module Engine = Massbft.Engine
 module Stats = Massbft_util.Stats
-module Fault_spec = Massbft_faults.Fault_spec
+module Scenario = Massbft_scenario.Scenario
 module Injector = Massbft_faults.Injector
 module Invariants = Massbft_faults.Invariants
-module Adv_spec = Massbft_adversary.Adv_spec
 module Adversary = Massbft_adversary.Adversary
 
 let byz_at = 6.0
@@ -34,19 +32,11 @@ let crash_at = 12.0
 let recover_at = 20.0
 let until = 45.0
 
-let schedule =
-  Fault_spec.of_string
-    (Printf.sprintf
-       "# data center 0 loses power, later comes back\n\
-        @%g crash-group g0\n\
-        @%g recover-group g0\n"
-       crash_at recover_at)
-
 (* Two colluders per data center (f = 2 with seven nodes per group)
    start rewriting the chunks they disseminate at [byz_at] and never
    stop: `for 39` keeps the windows open to the end of the run. *)
-let adversary =
-  Adv_spec.of_string
+let scenario =
+  Scenario.of_string
     (Printf.sprintf
        "# two tampering colluders per data center\n\
         @%g tamper node:g0/n5 for 39\n\
@@ -54,8 +44,11 @@ let adversary =
         @%g tamper node:g1/n5 for 39\n\
         @%g tamper node:g1/n6 for 39\n\
         @%g tamper node:g2/n5 for 39\n\
-        @%g tamper node:g2/n6 for 39\n"
-       byz_at byz_at byz_at byz_at byz_at byz_at)
+        @%g tamper node:g2/n6 for 39\n\
+        # data center 0 loses power, later comes back\n\
+        @%g crash-group g0\n\
+        @%g recover-group g0\n"
+       byz_at byz_at byz_at byz_at byz_at byz_at crash_at recover_at)
 
 let () =
   let sim = Sim.create () in
@@ -74,14 +67,13 @@ let () =
     }
   in
   let engine = Engine.create sim topo cfg in
-  let inj = Injector.create ~spec ~schedule engine sim topo in
-  let adv = Adversary.create ~spec ~plan:adversary engine sim in
-  (* heal_by stays at the fault schedule's horizon: the tampering never
-     heals, and the point of the drill is that liveness returns anyway
-     once the crashed data center is restored. *)
+  let inj = Injector.create ~spec ~scenario engine sim topo in
+  let adv = Adversary.create ~spec ~scenario engine sim in
+  (* heal_by is the restore, not [Scenario.heal_time]: the tampering
+     never heals, and the point of the drill is that liveness returns
+     anyway once the crashed data center is back. *)
   let inv =
-    Invariants.create
-      ~heal_by:(Fault_spec.heal_time schedule)
+    Invariants.create ~heal_by:recover_at
       ~compromised:(Adversary.is_compromised adv)
       engine sim
   in

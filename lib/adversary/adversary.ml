@@ -1,4 +1,4 @@
-(* The Byzantine adversary engine: compiles an Adv_spec plan into a
+(* The Byzantine adversary engine: compiles a scenario's attacks into a
    message-level interposer on the engine's typed send path
    (Node_ctx.adv_hook, installed via Engine.set_adversary).
 
@@ -16,7 +16,7 @@
    that later violates safety is provable by a conflicting signed pair
    — not just observable.
 
-   With an empty plan, [arm] installs no hook and schedules nothing:
+   Without attacks, [arm] installs no hook and schedules nothing:
    the run is bit-identical to one without an adversary attached. *)
 
 module Sim = Massbft_sim.Sim
@@ -29,13 +29,13 @@ module Raft = Massbft_consensus.Raft
 module Trace = Massbft_trace.Trace
 module Registry = Massbft_obs.Registry
 module Intmath = Massbft_util.Intmath
-module A = Adv_spec
+module A = Massbft_scenario.Scenario
 
 type t = {
   sim : Sim.t;
   engine : Engine.t;
   spec : Topology.spec;
-  plan : A.plan;
+  attacks : (float * A.strategy) list;
   trace : Trace.t;
   registry : Registry.t option;
   evidence : Evidence.log;
@@ -48,15 +48,13 @@ type t = {
   mutable armed : bool;
 }
 
-let create ?(trace = Trace.null) ?registry ?evidence ~spec ~plan engine sim =
-  (match A.validate ~group_sizes:spec.Topology.group_sizes plan with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Adversary.create: " ^ e));
+let create ?(trace = Trace.null) ?registry ?evidence ~spec ~scenario engine
+    sim =
   {
     sim;
     engine;
     spec;
-    plan = A.sorted plan;
+    attacks = A.attacks scenario;
     trace;
     registry;
     evidence = (match evidence with Some l -> l | None -> Evidence.create_log ());
@@ -67,7 +65,6 @@ let create ?(trace = Trace.null) ?registry ?evidence ~spec ~plan engine sim =
     armed = false;
   }
 
-let plan t = t.plan
 let injected_total t = t.injected
 let evidence t = t.evidence
 
@@ -82,7 +79,7 @@ let count_injection t strategy =
   match t.registry with
   | None -> ()
   | Some reg ->
-      let kind = A.kind_name strategy in
+      let kind = A.kind_name (A.Attack strategy) in
       let c =
         match Hashtbl.find_opt t.kind_counters kind with
         | Some c -> c
@@ -296,27 +293,30 @@ let remove_first_phys lst x =
 let arm t =
   if t.armed then invalid_arg "Adversary.arm: already armed";
   t.armed <- true;
-  if t.plan <> [] then begin
+  if t.attacks <> [] then begin
     Engine.set_adversary t.engine (Some (hook t));
     (* Active misbehavior can stall PBFT slots without any crash; the
        per-group progress watchdogs drive the recovery view changes. *)
     Engine.arm_watchdogs t.engine;
     List.iter
-      (fun { A.at; strategy } ->
+      (fun (at, strategy) ->
         ignore
           (Sim.at t.sim
              (Float.max at (Sim.now t.sim))
              (fun () ->
                let span =
                  Trace.span_begin t.trace ~cat:"adversary"
-                   (A.kind_name strategy)
+                   (A.kind_name (A.Attack strategy))
                    ~args:
-                     [ ("spec", Trace.Str (A.strategy_to_string strategy)) ]
+                     [
+                       ( "spec",
+                         Trace.Str (A.action_to_string (A.Attack strategy)) );
+                     ]
                in
                t.active <- t.active @ [ strategy ];
                ignore
                  (Sim.after t.sim (A.window_of strategy) (fun () ->
                       t.active <- remove_first_phys t.active strategy;
                       Trace.span_end t.trace span)))))
-      t.plan
+      t.attacks
   end

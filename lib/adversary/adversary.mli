@@ -1,7 +1,8 @@
 (** The Byzantine adversary engine (see DESIGN.md "Adversary model").
 
-    Compiles an {!Adv_spec} plan into a message-level interposer on the
-    engine's typed send path ({!Massbft.Node_ctx.adv_hook}). Where the
+    Compiles the attack actions of a {!Massbft_scenario.Scenario.t}
+    into a message-level interposer on the engine's typed send path
+    ({!Massbft.Node_ctx.adv_hook}). Where the
     fault injector's topology hook sees only message sizes — so it can
     drop, delay or duplicate but never lie — this hook sees the typed
     protocol message and can forge, fork, withhold, replay, delay and
@@ -12,7 +13,7 @@
     an {!Evidence} log under that node's derived key; an equivocation
     that violates safety is then provable by a conflicting signed pair.
 
-    With an empty plan, {!arm} installs no hook and schedules nothing:
+    Without attacks, {!arm} installs no hook and schedules nothing:
     runs are bit-identical to runs without an adversary attached. *)
 
 module Topology = Massbft_sim.Topology
@@ -24,22 +25,19 @@ val create :
   ?registry:Massbft_obs.Registry.t ->
   ?evidence:Evidence.log ->
   spec:Topology.spec ->
-  plan:Adv_spec.plan ->
+  scenario:Massbft_scenario.Scenario.t ->
   Massbft.Engine.t ->
   Massbft_sim.Sim.t ->
   t
-(** Raises [Invalid_argument] if the plan fails
-    {!Adv_spec.validate} against the deployment shape. *)
+(** Reads the scenario's attacks; the scenario must pass
+    {!Massbft_scenario.Scenario.validate}. *)
 
 val arm : t -> unit
-(** Installs the interposer and schedules the plan's activation windows.
+(** Installs the interposer and schedules the attacks' activation windows.
     Also arms the engine's progress watchdogs (Byzantine misbehavior
     stalls slots without crashing anyone, so recovery needs the
-    watchdog-driven view changes). Strict no-op for an empty plan. Call
+    watchdog-driven view changes). Strict no-op without attacks. Call
     once, before [Sim.run]. *)
-
-val plan : t -> Adv_spec.plan
-(** The validated plan, sorted by activation time. *)
 
 val injected_total : t -> int
 (** Messages interfered with so far (forged, dropped, replayed, delayed

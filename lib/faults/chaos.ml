@@ -23,11 +23,9 @@ module Trace = Massbft_trace.Trace
 module Registry = Massbft_obs.Registry
 module Rng = Massbft_util.Rng
 module Intmath = Massbft_util.Intmath
-module F = Fault_spec
-module A = Massbft_adversary.Adv_spec
+module S = Massbft_scenario.Scenario
 module Adversary = Massbft_adversary.Adversary
 module Evidence = Massbft_adversary.Evidence
-module R = Massbft_reconfig.Reconfig_spec
 module Reconfig = Massbft_reconfig.Reconfig
 
 (* ------------------------------------------------------------------ *)
@@ -36,6 +34,8 @@ module Reconfig = Massbft_reconfig.Reconfig
 
 (* Millisecond quantization keeps the text form round-trippable. *)
 let q t = Float.round (t *. 1000.0) /. 1000.0
+
+let fault at f = { S.at; action = S.Fault f }
 
 let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
   let gs = spec.Topology.group_sizes in
@@ -52,7 +52,7 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
     (s, (s + 1 + Rng.int rng (ng - 1)) mod ng)
   in
   let cls () =
-    match Rng.int rng 3 with 0 -> F.Any | 1 -> F.Bulk | _ -> F.Control
+    match Rng.int rng 3 with 0 -> S.Any | 1 -> S.Bulk | _ -> S.Control
   in
   (* Never more than f concurrently-faulty nodes per group; at most one
      heavy fault (leader crash / group crash / partition) per schedule
@@ -60,12 +60,12 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
   let crashed = Array.make ng [] in
   let heavy_used = ref false in
   let events = ref [] in
-  let add at fault = events := { F.at; fault } :: !events in
+  let add at f = events := fault at f :: !events in
   let gen_slow_cpu () =
     let g = pick_g () in
     let n = Rng.int rng gs.(g) in
     add (rt ())
-      (F.Slow_cpu
+      (S.Slow_cpu
          {
            addr = { Topology.g; n };
            factor = float_of_int (2 + Rng.int rng 6);
@@ -78,7 +78,7 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
     | 0 -> gen_slow_cpu ()
     | 1 ->
         add (rt ())
-          (F.Wan_degrade
+          (S.Wan_degrade
              {
                g = pick_g ();
                factor = float_of_int (5 + Rng.int rng 10) /. 20.0;
@@ -86,7 +86,7 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
              })
     | 2 ->
         add (rt ())
-          (F.Lan_degrade
+          (S.Lan_degrade
              {
                g = pick_g ();
                factor = float_of_int (5 + Rng.int rng 10) /. 20.0;
@@ -95,7 +95,7 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
     | 3 ->
         let src_g, dst_g = pick_link () in
         add (rt ())
-          (F.Link_delay
+          (S.Link_delay
              {
                src_g;
                dst_g;
@@ -106,7 +106,7 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
     | 4 ->
         let src_g, dst_g = pick_link () in
         add (rt ())
-          (F.Link_dup
+          (S.Link_dup
              {
                src_g;
                dst_g;
@@ -128,8 +128,8 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
           let n = List.nth candidates (Rng.int rng (List.length candidates)) in
           crashed.(g) <- n :: crashed.(g);
           let at = rt () in
-          add at (F.Crash_node { Topology.g; n });
-          add (q (at +. win 1.0 2.0)) (F.Recover_node { Topology.g; n })
+          add at (S.Crash_node { Topology.g; n });
+          add (q (at +. win 1.0 2.0)) (S.Recover_node { Topology.g; n })
         end
         else gen_slow_cpu ()
     | 6 ->
@@ -144,8 +144,8 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
           heavy_used := true;
           crashed.(g) <- [ 0 ];
           let at = rt () in
-          add at (F.Crash_node { Topology.g; n = 0 });
-          add (q (at +. win 2.0 3.5)) (F.Recover_node { Topology.g; n = 0 })
+          add at (S.Crash_node { Topology.g; n = 0 });
+          add (q (at +. win 2.0 3.5)) (S.Recover_node { Topology.g; n = 0 })
         end
         else gen_slow_cpu ()
     | 7 ->
@@ -154,8 +154,8 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
           heavy_used := true;
           crashed.(g) <- List.init gs.(g) (fun n -> n);
           let at = rt () in
-          add at (F.Crash_group g);
-          add (q (at +. win 1.0 2.0)) (F.Recover_group g)
+          add at (S.Crash_group g);
+          add (q (at +. win 1.0 2.0)) (S.Recover_group g)
         end
         else gen_slow_cpu ()
     | _ ->
@@ -163,11 +163,11 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
           heavy_used := true;
           if Rng.bool rng then
             add (rt ())
-              (F.Partition { groups = [ pick_g () ]; for_s = win 0.5 1.5 })
+              (S.Partition { groups = [ pick_g () ]; for_s = win 0.5 1.5 })
           else
             let src_g, dst_g = pick_link () in
             add (rt ())
-              (F.Link_drop
+              (S.Link_drop
                  {
                    src_g;
                    dst_g;
@@ -178,18 +178,19 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
         end
         else gen_slow_cpu ()
   done;
-  F.sorted (List.rev !events)
+  S.sorted (List.rev !events)
 
 (* ------------------------------------------------------------------ *)
-(* Adversary-plan generation (the campaign's third axis)               *)
+(* Attack generation (the campaign's third axis)                      *)
 (* ------------------------------------------------------------------ *)
 
-(* One named strategy drawn into a concrete timed plan, with any
+(* One named strategy drawn into a concrete timed attack, with any
    trigger faults the strategy needs to bite (split-votes only matters
    while a view change is in flight, so it rides on a leader
-   crash+recover). Each plan compromises exactly one node per target
+   crash+recover). Each attack compromises exactly one node per target
    group — within every group's f >= 1 tolerance — so, as with fault
-   generation, a safety violation under a generated plan is a real bug.
+   generation, a safety violation under a generated attack is a real
+   bug.
    Liveness inside the attack window is not promised (a Byzantine
    leader may stall its group); windows always close, and the liveness
    watchdog only judges the post-heal run. *)
@@ -205,69 +206,42 @@ let gen_adversary rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration
   let at = rt () in
   let for_s = win 1.5 3.0 in
   let follower () = { Topology.g; n = 1 + Rng.int rng (gs.(g) - 1) } in
+  let attack strategy = [ { S.at; action = S.Attack strategy } ] in
   match strategy with
-  | "equivocate" ->
-      ([ { A.at; strategy = A.Equivocate { target = A.Leader g; for_s } } ], [])
+  | "equivocate" -> attack (S.Equivocate { target = S.Leader g; for_s })
   | "equivocate-raft" ->
-      ( [
-          {
-            A.at;
-            strategy = A.Equivocate_raft { target = A.Leader g; for_s };
-          };
-        ],
-        [] )
-  | "withhold" ->
-      ([ { A.at; strategy = A.Withhold { target = A.Leader g; for_s } } ], [])
+      attack (S.Equivocate_raft { target = S.Leader g; for_s })
+  | "withhold" -> attack (S.Withhold { target = S.Leader g; for_s })
   | "split-votes" ->
       (* The compromised follower forks its view-change votes across
          the recovery the leader crash forces. *)
       let n = follower () in
-      ( [ { A.at; strategy = A.Split_votes { target = A.Node n; for_s } } ],
-        F.sorted
+      attack (S.Split_votes { target = S.Node n; for_s })
+      @ S.sorted
           [
-            { F.at; fault = F.Crash_node { Topology.g; n = 0 } };
-            {
-              F.at = q (at +. win 1.5 2.5);
-              fault = F.Recover_node { Topology.g; n = 0 };
-            };
-          ] )
+            fault at (S.Crash_node { Topology.g; n = 0 });
+            fault
+              (q (at +. win 1.5 2.5))
+              (S.Recover_node { Topology.g; n = 0 });
+          ]
   | "replay" ->
-      ( [
-          {
-            A.at;
-            strategy =
-              A.Replay
-                {
-                  target = A.Leader g;
-                  copies = 1 + Rng.int rng 2;
-                  gap_s = q (float_of_int (50 + Rng.int rng 200) /. 1000.0);
-                  for_s;
-                };
-          };
-        ],
-        [] )
+      attack
+        (S.Replay
+           {
+             target = S.Leader g;
+             copies = 1 + Rng.int rng 2;
+             gap_s = q (float_of_int (50 + Rng.int rng 200) /. 1000.0);
+             for_s;
+           })
   | "delay-valid" ->
-      ( [
-          {
-            A.at;
-            strategy =
-              A.Delay_valid
-                {
-                  target = A.Node (follower ());
-                  add_s = q (float_of_int (50 + Rng.int rng 250) /. 1000.0);
-                  for_s;
-                };
-          };
-        ],
-        [] )
-  | "tamper" ->
-      ( [
-          {
-            A.at;
-            strategy = A.Tamper { target = A.Node (follower ()); for_s };
-          };
-        ],
-        [] )
+      attack
+        (S.Delay_valid
+           {
+             target = S.Node (follower ());
+             add_s = q (float_of_int (50 + Rng.int rng 250) /. 1000.0);
+             for_s;
+           })
+  | "tamper" -> attack (S.Tamper { target = S.Node (follower ()); for_s })
   | s -> invalid_arg ("Chaos.gen_adversary: unknown strategy " ^ s)
 
 (* ------------------------------------------------------------------ *)
@@ -277,7 +251,7 @@ let gen_adversary rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration
 let reconfig_kinds =
   [ "node-join"; "node-leave"; "leader-move"; "group-add"; "group-remove" ]
 
-(* One named membership-change kind drawn into a concrete timed plan,
+(* One named membership-change kind drawn into a timed command,
    plus the chaos that makes it a drill rather than a demo: joins get a
    50% chance of a mid-transfer crash of the joining hardware itself
    (exercising the fetch lane's stall watchdog, donor rotation and
@@ -285,8 +259,8 @@ let reconfig_kinds =
    heals and no fault exceeds the evolving membership's tolerance, so a
    violation under a generated scenario is a real bug. The join-crash
    addresses refer to slots of the *provisioned* topology (the joining
-   node is [gs.(g)], the joining group is [ng]) — [run_schedule]
-   provisions before arming the injector, so those slots exist. *)
+   node is [gs.(g)], the joining group is [ng]), which is what
+   [Scenario.validate] checks them against. *)
 let gen_reconfig rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration ~kind
     =
   ignore cfg;
@@ -298,33 +272,31 @@ let gen_reconfig rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration ~kind
   let g = Rng.int rng ng in
   let mid_transfer_crash addr =
     if Rng.bool rng then
-      F.sorted
+      S.sorted
         [
-          { F.at = q (at +. win 0.2 0.7); fault = F.Crash_node addr };
-          { F.at = q (at +. win 1.2 2.2); fault = F.Recover_node addr };
+          fault (q (at +. win 0.2 0.7)) (S.Crash_node addr);
+          fault (q (at +. win 1.2 2.2)) (S.Recover_node addr);
         ]
     else []
   in
   let light_degrade target_g =
     if Rng.bool rng then
       [
-        {
-          F.at = q (at +. win 0.0 0.5);
-          fault =
-            F.Wan_degrade
-              {
-                g = target_g;
-                factor = float_of_int (8 + Rng.int rng 8) /. 20.0;
-                for_s = win 1.0 2.0;
-              };
-        };
+        fault
+          (q (at +. win 0.0 0.5))
+          (S.Wan_degrade
+             {
+               g = target_g;
+               factor = float_of_int (8 + Rng.int rng 8) /. 20.0;
+               for_s = win 1.0 2.0;
+             });
       ]
     else []
   in
+  let member cmd = { S.at; action = S.Member cmd } in
   match kind with
   | "node-join" ->
-      ( [ { R.at; cmd = R.Add_node g } ],
-        mid_transfer_crash { Topology.g; n = gs.(g) } )
+      member (S.Add_node g) :: mid_transfer_crash { Topology.g; n = gs.(g) }
   | "node-leave" -> (
       (* The validation floor: a group must keep n >= 4 after the
          retirement. *)
@@ -334,30 +306,28 @@ let gen_reconfig rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration ~kind
             "Chaos.gen_reconfig: node-leave needs a group of >= 5 nodes"
       | cs ->
           let g = List.nth cs (Rng.int rng (List.length cs)) in
-          ([ { R.at; cmd = R.Remove_node g } ], light_degrade g))
+          member (S.Remove_node g) :: light_degrade g)
   | "leader-move" ->
       let n = 1 + Rng.int rng (gs.(g) - 1) in
-      ([ { R.at; cmd = R.Move_leader { Topology.g; n } } ], light_degrade g)
+      member (S.Move_leader { Topology.g; n }) :: light_degrade g
   | "group-add" ->
       let size = 4 + Rng.int rng 2 in
-      ( [ { R.at; cmd = R.Add_group { size } } ],
-        mid_transfer_crash { Topology.g = ng; n = 0 } )
+      member (S.Add_group { size })
+      :: mid_transfer_crash { Topology.g = ng; n = 0 }
   | "group-remove" ->
       if ng < 3 then
         invalid_arg "Chaos.gen_reconfig: group-remove needs >= 3 groups"
       else
         let g = 1 + Rng.int rng (ng - 1) in
-        ([ { R.at; cmd = R.Remove_group g } ], light_degrade g)
+        member (S.Remove_group g) :: light_degrade g
   | k -> invalid_arg ("Chaos.gen_reconfig: unknown kind " ^ k)
 
 (* ------------------------------------------------------------------ *)
-(* Running one schedule                                                *)
+(* Running one scenario                                                *)
 (* ------------------------------------------------------------------ *)
 
 type outcome = {
-  schedule : F.schedule;
-  adversary : A.plan;
-  reconfig : R.plan;
+  scenario : S.t;
   violations : Invariants.violation list;
   unaccountable : Invariants.violation list;
       (* violations not backed by a verified conflicting-signed pair *)
@@ -370,9 +340,8 @@ type outcome = {
   ran_until : float;
 }
 
-let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace
-    ?registry ?(adversary = []) ?(reconfig = []) ?(domains = 1)
-    ~(spec : Topology.spec) ~(cfg : Config.t) schedule =
+let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace ?registry
+    ?domains ~(spec : Topology.spec) ~(cfg : Config.t) scenario =
   (* Recovering from a healed group crash legitimately spans several
      election timeouts (takeover, catch-up, transfer-back), so the
      default stall bound scales with the configured timeout rather than
@@ -382,71 +351,10 @@ let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace
     | Some b -> b
     | None -> Float.max 3.0 (4.0 *. cfg.Config.election_timeout_s)
   in
-  (* Each run allocates a full cluster; keep long campaigns flat. *)
-  Gc.compact ();
-  let domains = min domains (Array.length spec.Topology.group_sizes) in
-  let parallel = domains > 1 in
-  if parallel then begin
-    (* Same single-writer exclusions as the runner's parallel mode. *)
-    if trace <> None then
-      invalid_arg "Chaos.run_schedule: tracing requires domains = 1";
-    if registry <> None then
-      invalid_arg "Chaos.run_schedule: a registry requires domains = 1";
-    if adversary <> [] then
-      invalid_arg "Chaos.run_schedule: adversary plans require domains = 1";
-    if reconfig <> [] then
-      invalid_arg
-        "Chaos.run_schedule: reconfiguration plans require domains = 1"
-  end;
-  (* Reconfiguration plans expand the topology up front (dark slots for
-     everything the plan will activate); an empty plan returns the spec
-     unchanged, byte-identically. *)
-  (match R.validate ~group_sizes:spec.Topology.group_sizes reconfig with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Chaos.run_schedule: bad reconfiguration plan: " ^ e));
-  let provisioned = R.provision ~spec reconfig in
-  let spec = provisioned.R.p_spec in
-  let ng = Array.length spec.Topology.group_sizes in
-  let cfg =
-    if parallel && not cfg.Config.independent_stores then
-      { cfg with Config.independent_stores = true }
-    else cfg
-  in
-  let sim =
-    Sim.create ~shards:ng ~lookahead:(Topology.min_wan_one_way spec) ()
-  in
-  let topo = Topology.create sim spec in
-  let engine = Engine.create sim topo cfg in
-  (match trace with Some tr -> Engine.set_trace engine tr | None -> ());
-  let controller = Reconfig.arm engine ~provisioned reconfig in
-  let inj = Injector.create ?trace ?registry ~spec ~schedule engine sim topo in
-  let adv =
-    match adversary with
-    | [] -> None
-    | plan -> Some (Adversary.create ?trace ?registry ~spec ~plan engine sim)
-  in
-  (* A join is only "healed" once its state transfer lands and the
-     admission epoch executes; give it a transfer allowance past the
-     command time before the liveness watchdog starts judging. *)
-  let reconfig_heal =
-    if reconfig = [] then neg_infinity
-    else
-      R.last_time reconfig
-      +.
-      if
-        List.exists
-          (fun (e : R.event) ->
-            match e.R.cmd with
-            | R.Add_node _ | R.Add_group _ -> true
-            | _ -> false)
-          reconfig
-      then 6.0
-      else 1.5
-  in
-  let heal =
-    Float.max reconfig_heal
-      (Float.max (F.heal_time schedule) (A.heal_time adversary))
-  in
+  let d = Deployment.create ?trace ?registry ?domains ~spec ~cfg scenario in
+  let engine = d.Deployment.engine and sim = d.Deployment.sim in
+  let adv = d.Deployment.adversary in
+  let heal = S.heal_time scenario in
   let inv =
     match adv with
     | None -> Invariants.create ~liveness_bound_s ~heal_by:heal engine sim
@@ -456,8 +364,7 @@ let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace
           ~evidence:(Adversary.evidence a) engine sim
   in
   Engine.start engine;
-  Injector.arm inj;
-  (match adv with Some a -> Adversary.arm a | None -> ());
+  Deployment.arm d;
   (* Run past the heal point far enough for the liveness watchdog to
      have a verdict. *)
   let until =
@@ -465,13 +372,13 @@ let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace
       Float.max duration (heal +. liveness_bound_s +. 1.5)
     else duration
   in
-  if parallel then begin
+  if d.Deployment.domains > 1 then begin
     (* No periodic checker events inside the run: the checkers read
        cross-shard engine state, so they poll at the lookahead-window
        barriers instead — the driver's single-threaded safe points. *)
     let period = 0.25 in
     let last = ref neg_infinity in
-    Sim.run_parallel sim ~domains ~until
+    Sim.run_parallel sim ~domains:d.Deployment.domains ~until
       ~on_window:(fun w ->
         if w -. !last >= period then begin
           last := w;
@@ -488,6 +395,7 @@ let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace
      across leaders, on-chain config records, join state-transfer
      equality) merge into the same violation stream the checkers
      feed. *)
+  let controller = d.Deployment.reconfig in
   let reconfig_violations =
     List.map
       (fun (check, detail) ->
@@ -508,9 +416,7 @@ let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace
       violations
   in
   {
-    schedule;
-    adversary;
-    reconfig;
+    scenario;
     violations;
     unaccountable;
     evidence =
@@ -518,8 +424,9 @@ let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace
       | Some a -> Evidence.conflicts (Adversary.evidence a)
       | None -> []);
     executed = Engine.entries_executed_total engine;
-    injected = Injector.injected_total inj;
-    adv_injected = (match adv with Some a -> Adversary.injected_total a | None -> 0);
+    injected = Injector.injected_total d.Deployment.injector;
+    adv_injected =
+      (match adv with Some a -> Adversary.injected_total a | None -> 0);
     epochs = Reconfig.epochs controller;
     transfer_retries = Reconfig.transfer_retries controller;
     ran_until = until;
@@ -581,67 +488,64 @@ type drill_result = {
   strategy : string option;  (* adversary axis point, if any *)
   reconfig_kind : string option;  (* reconfiguration axis point, if any *)
   outcome : outcome;
-  shrunk : F.schedule option;
-      (* minimal failing schedule, when the original failed *)
-  shrunk_adversary : A.plan option;
-      (* minimal failing adversary plan, when one was in play *)
+  shrunk : S.t option;  (* minimal failing scenario, when the original failed *)
 }
 
 let drill ?duration ?liveness_bound_s ?trace ?registry ?(shrink_failures = true)
     ?adversary ?reconfig ?domains ~spec ~cfg ~seed () =
   let rng = Rng.create seed in
   let gen_duration = Option.value ~default:10.0 duration in
-  (* With an adversary strategy the drill goes all-in on it: the fault
-     schedule carries only the strategy's trigger faults, so the attack
+  (* With an adversary strategy the drill goes all-in on it: the
+     scenario carries only the strategy's trigger faults, so the attack
      window never compounds with unrelated random faults into a
      scenario beyond the system's claimed tolerance. A reconfiguration
-     kind contributes its membership-change plan plus its own paired
-     chaos; combined with an adversary, both land in the same run (the
+     kind contributes its membership change plus its own paired chaos;
+     combined with an adversary, both land in the same run (the
      "Byzantine leader during a membership change" drill). *)
-  let rplan, rfaults =
+  let membership =
     match reconfig with
-    | None -> ([], [])
+    | None -> []
     | Some kind -> gen_reconfig rng ~cfg ~spec ~duration:gen_duration ~kind
   in
-  let schedule, plan =
-    match adversary with
-    | None ->
-        if reconfig = None then
-          (gen_schedule rng ~cfg ~spec ~duration:gen_duration, [])
-        else (rfaults, [])
-    | Some strategy ->
-        let plan, triggers =
+  let scenario =
+    S.sorted
+      (membership
+      @
+      match adversary with
+      | Some strategy ->
           gen_adversary rng ~cfg ~spec ~duration:gen_duration ~strategy
-        in
-        (F.sorted (rfaults @ triggers), plan)
+      | None when reconfig = None ->
+          gen_schedule rng ~cfg ~spec ~duration:gen_duration
+      | None -> [])
   in
   let outcome =
-    run_schedule ?duration ?liveness_bound_s ?trace ?registry ?domains
-      ~adversary:plan ~reconfig:rplan ~spec ~cfg schedule
+    run_schedule ?duration ?liveness_bound_s ?trace ?registry ?domains ~spec
+      ~cfg scenario
   in
-  let rerun ~schedule ~plan =
-    failed
-      (run_schedule ?duration ?liveness_bound_s ?domains ~adversary:plan
-         ~reconfig:rplan ~spec ~cfg schedule)
+  let fails s =
+    failed (run_schedule ?duration ?liveness_bound_s ?domains ~spec ~cfg s)
   in
-  let shrunk, shrunk_adversary =
+  let shrunk =
     if failed outcome && shrink_failures then begin
-      (* ddmin each axis in turn: first the adversary plan against the
-         full trigger schedule, then the schedule under the minimal
-         plan. The reconfiguration plan is the scenario's identity and
-         is never shrunk. *)
-      let min_plan =
-        if plan = [] then []
-        else shrink ~fails:(fun p -> rerun ~schedule ~plan:p) plan
+      (* ddmin each kind in turn: first the attacks against the full
+         fault set, then the faults under the minimal attacks. The
+         membership commands are the scenario's identity and are never
+         shrunk. *)
+      let only p = List.filter (fun e -> p e.S.action) scenario in
+      let members = only (function S.Member _ -> true | _ -> false)
+      and attacks = only (function S.Attack _ -> true | _ -> false)
+      and faults = only (function S.Fault _ -> true | _ -> false) in
+      let attacks =
+        if attacks = [] then []
+        else shrink ~fails:(fun a -> fails (members @ a @ faults)) attacks
       in
-      let min_sched =
-        if schedule = [] then []
-        else shrink ~fails:(fun s -> rerun ~schedule:s ~plan:min_plan) schedule
+      let faults =
+        if faults = [] then []
+        else shrink ~fails:(fun f -> fails (members @ attacks @ f)) faults
       in
-      ( Some min_sched,
-        (match adversary with None -> None | Some _ -> Some min_plan) )
+      Some (members @ attacks @ faults)
     end
-    else (None, None)
+    else None
   in
   {
     seed;
@@ -650,7 +554,6 @@ let drill ?duration ?liveness_bound_s ?trace ?registry ?(shrink_failures = true)
     reconfig_kind = reconfig;
     outcome;
     shrunk;
-    shrunk_adversary;
   }
 
 type campaign_result = {
@@ -717,7 +620,10 @@ let pp_drill fmt r =
     (match r.strategy with
     | None -> "faults"
     | Some s -> s)
-    (List.length r.outcome.schedule + List.length r.outcome.adversary)
+    (List.length
+       (List.filter
+          (fun e -> match e.S.action with S.Member _ -> false | _ -> true)
+          r.outcome.scenario))
     (match r.reconfig_kind with
     | None -> ""
     | Some k -> Printf.sprintf " %s epochs=%d" k r.outcome.epochs)

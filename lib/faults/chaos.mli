@@ -1,15 +1,15 @@
-(** Seeded chaos fuzzer: random fault-schedule generation, campaign
-    driving, and delta-debugging shrink of failing schedules.
+(** Seeded chaos fuzzer: random scenario generation, campaign driving,
+    and delta-debugging shrink of failing scenarios.
 
     Everything is deterministic in the seed: the same seed against the
-    same config and cluster spec generates a byte-identical schedule and
+    same config and cluster spec generates a byte-identical scenario and
     a result-identical run, so a campaign failure is reproducible as
     [massbft drill --seed S --system SYS] (see {!repro_line}).
 
     The generator is system-aware: group crashes, WAN drops and
     partitions are only drawn for systems whose global phase retransmits
     (per-group Raft); it crashes at most f nodes per group and heals
-    every fault it injects, so a generated schedule is always within the
+    every fault it injects, so a generated scenario is always within the
     system's claimed fault tolerance and any invariant violation is a
     real bug. *)
 
@@ -18,10 +18,10 @@ val gen_schedule :
   cfg:Massbft.Config.t ->
   spec:Massbft_sim.Topology.spec ->
   duration:float ->
-  Fault_spec.schedule
-(** Draw a schedule of 2–6 faults landing in [0.5, 0.4*duration], all
-    healed within a few seconds after. Times are millisecond-quantized
-    so the text form round-trips exactly. *)
+  Massbft_scenario.Scenario.t
+(** Draw 2–6 faults landing in [0.5, 0.4*duration], all healed within a
+    few seconds after. Times are millisecond-quantized so the text form
+    round-trips exactly. *)
 
 val gen_adversary :
   Massbft_util.Rng.t ->
@@ -29,14 +29,14 @@ val gen_adversary :
   spec:Massbft_sim.Topology.spec ->
   duration:float ->
   strategy:string ->
-  Massbft_adversary.Adv_spec.plan * Fault_spec.schedule
-(** Draw a concrete timed plan for one named strategy (a member of
-    {!Massbft_adversary.Adv_spec.kind_names}), plus any trigger faults
+  Massbft_scenario.Scenario.t
+(** Draw a concrete timed attack for one named strategy (a member of
+    {!Massbft_scenario.Scenario.attack_names}), plus any trigger faults
     the strategy needs to bite (split-votes rides on a leader
-    crash+recover). Plans compromise exactly one node per target group —
-    within every group's tolerance — so a safety violation under a
-    generated plan is a real bug. Raises [Invalid_argument] on an
-    unknown strategy name. *)
+    crash+recover). Attacks compromise exactly one node per target
+    group — within every group's tolerance — so a safety violation
+    under a generated attack is a real bug. Raises [Invalid_argument]
+    on an unknown strategy name. *)
 
 val reconfig_kinds : string list
 (** The reconfiguration campaign axis: ["node-join"], ["node-leave"],
@@ -48,21 +48,19 @@ val gen_reconfig :
   spec:Massbft_sim.Topology.spec ->
   duration:float ->
   kind:string ->
-  Massbft_reconfig.Reconfig_spec.plan * Fault_spec.schedule
-(** Draw one membership-change scenario of the named kind plus its
-    paired chaos: joins get a 50% chance of a mid-transfer crash of the
-    joining hardware (exercising the fetch lane's stall watchdog, donor
-    rotation and backoff), other kinds get light degradations. Fault
-    addresses may refer to slots of the plan's *provisioned* topology;
-    {!run_schedule} provisions before arming the injector. Raises
+  Massbft_scenario.Scenario.t
+(** Draw one membership change of the named kind plus its paired
+    chaos: joins get a 50% chance of a mid-transfer crash of the joining
+    hardware (exercising the fetch lane's stall watchdog, donor rotation
+    and backoff), other kinds get light degradations. Fault
+    addresses may refer to slots of the *provisioned* topology, which
+    {!Massbft_scenario.Scenario.validate} accepts. Raises
     [Invalid_argument] on an unknown kind, or when the cluster cannot
     host the scenario (node-leave needs a group of 5, group-remove
     needs 3 groups). *)
 
 type outcome = {
-  schedule : Fault_spec.schedule;
-  adversary : Massbft_adversary.Adv_spec.plan;
-  reconfig : Massbft_reconfig.Reconfig_spec.plan;
+  scenario : Massbft_scenario.Scenario.t;
   violations : Invariants.violation list;
   unaccountable : Invariants.violation list;
       (** violations not backed by a verified conflicting-signed pair
@@ -83,17 +81,16 @@ val run_schedule :
   ?liveness_bound_s:float ->
   ?trace:Massbft_trace.Trace.t ->
   ?registry:Massbft_obs.Registry.t ->
-  ?adversary:Massbft_adversary.Adv_spec.plan ->
-  ?reconfig:Massbft_reconfig.Reconfig_spec.plan ->
   ?domains:int ->
   spec:Massbft_sim.Topology.spec ->
   cfg:Massbft.Config.t ->
-  Fault_spec.schedule ->
+  Massbft_scenario.Scenario.t ->
   outcome
-(** Build a fresh deployment, arm the injector and the invariant
-    checkers, and run for [duration] (default 10.0) simulated seconds —
-    extended past the schedule's heal time when needed so the liveness
-    watchdog gets a verdict. [liveness_bound_s] defaults to
+(** Build a fresh deployment armed with the scenario
+    ({!Deployment.create}) plus the invariant checkers, and run for
+    [duration] (default 10.0) simulated seconds — extended past the
+    scenario's {!Massbft_scenario.Scenario.heal_time} when needed so
+    the liveness watchdog gets a verdict. [liveness_bound_s] defaults to
     [max 3.0 (4 * election_timeout_s)]: post-heal recovery from a group
     outage legitimately spans several election timeouts (takeover,
     catch-up, transfer-back).
@@ -101,17 +98,12 @@ val run_schedule :
     [domains] (default 1, clamped to the group count) selects how many
     OCaml domains pump the per-group scheduler shards. Parallel runs
     poll the invariant checkers at the lookahead-window barriers
-    instead of via in-run events, force [independent_stores], and
-    reject [trace]/[registry]/[adversary] (single-writer structures the
-    parallel driver cannot serialize); the verdicts match a sequential
-    run of the same schedule.
+    instead of via in-run events; see {!Deployment.create} for what
+    they reject. The verdicts match a sequential run of the same
+    scenario.
 
-    [reconfig] validates, provisions and arms a live-membership plan
-    before the cluster starts (sequential mode only); the controller's
-    epoch-aware end-of-run checks merge into [violations], and a join
-    extends the heal horizon by a state-transfer allowance before the
-    liveness watchdog starts judging. An empty or omitted plan changes
-    nothing. *)
+    The reconfiguration controller's epoch-aware end-of-run checks
+    merge into [violations]. *)
 
 val failed : outcome -> bool
 
@@ -124,8 +116,7 @@ val accountable : outcome -> bool
 val shrink : fails:('a list -> bool) -> 'a list -> 'a list
 (** ddmin: a 1-minimal-ish sub-list still satisfying [fails] (dropping
     any tried chunk makes it pass). Returns the input unchanged if it
-    does not fail. Works over fault schedules and adversary plans
-    alike. *)
+    does not fail. *)
 
 type drill_result = {
   seed : int64;
@@ -133,10 +124,9 @@ type drill_result = {
   strategy : string option;  (** adversary axis point, if any *)
   reconfig_kind : string option;  (** reconfiguration axis point, if any *)
   outcome : outcome;
-  shrunk : Fault_spec.schedule option;
-      (** minimal failing schedule, when the original failed *)
-  shrunk_adversary : Massbft_adversary.Adv_spec.plan option;
-      (** minimal failing adversary plan, when one was in play *)
+  shrunk : Massbft_scenario.Scenario.t option;
+      (** minimal failing scenario, when the original failed: attacks
+          ddmin-shrunk first, then faults, membership commands kept *)
 }
 
 val drill :
@@ -155,13 +145,13 @@ val drill :
   drill_result
 (** One fuzzing round: generate from [seed], run, and (by default)
     shrink on failure. With [adversary] (a strategy name) the round
-    runs that strategy's generated plan plus its trigger faults instead
-    of a random fault schedule; on failure both the plan and the
-    schedule are ddmin-shrunk. With [reconfig] (a member of
-    {!reconfig_kinds}) the round runs that membership-change scenario
-    plus its paired chaos; the reconfiguration plan itself is the
-    scenario's identity and is never shrunk. Both together drill
-    Byzantine behaviour during a membership change. *)
+    runs that strategy's generated attack plus its trigger faults
+    instead of random faults; on failure both the attacks and the
+    faults are ddmin-shrunk. With [reconfig] (a member of
+    {!reconfig_kinds}) the round runs that membership change plus its
+    paired chaos; the membership commands are the scenario's identity
+    and are never shrunk. Both together drill Byzantine behaviour
+    during a membership change. *)
 
 type campaign_result = {
   total : int;

@@ -1,4 +1,4 @@
-(* Applies a fault schedule to a running deployment at scheduled sim
+(* Applies a scenario's faults to a running deployment at scheduled sim
    times. Node/group crashes go through the engine (which owns the
    leader-migration machinery); link faults interpose on the topology's
    send path through its single fault hook; degradations reconfigure
@@ -17,7 +17,7 @@
 
    Everything is armed up front ([arm]) as plain simulator events, so a
    run with an injector replays bit-identically from the same seed and
-   schedule. With an empty schedule, [arm] schedules nothing and
+   scenario. Without faults, [arm] schedules nothing and
    installs no hook — the run is indistinguishable from a fault-free
    one. *)
 
@@ -27,7 +27,7 @@ module Cpu = Massbft_sim.Cpu
 module Engine = Massbft.Engine
 module Trace = Massbft_trace.Trace
 module Registry = Massbft_obs.Registry
-module F = Fault_spec
+module F = Massbft_scenario.Scenario
 
 (* A link fault with its resolved activity window; [count] numbers the
    matching messages so [every]-gated faults hit a deterministic
@@ -45,7 +45,7 @@ type t = {
   topo : Topology.t;
   engine : Engine.t;
   spec : Topology.spec;
-  schedule : F.schedule;
+  faults : (float * F.fault) list;
   trace : Trace.t;
   registry : Registry.t option;
   kind_counters : (string, Registry.counter) Hashtbl.t;
@@ -54,16 +54,13 @@ type t = {
   mutable armed : bool;
 }
 
-let create ?(trace = Trace.null) ?registry ~spec ~schedule engine sim topo =
-  (match F.validate ~group_sizes:spec.Topology.group_sizes schedule with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Injector.create: " ^ e));
+let create ?(trace = Trace.null) ?registry ~spec ~scenario engine sim topo =
   {
     sim;
     topo;
     engine;
     spec;
-    schedule = F.sorted schedule;
+    faults = F.faults scenario;
     trace;
     registry;
     kind_counters = Hashtbl.create 11;
@@ -72,7 +69,6 @@ let create ?(trace = Trace.null) ?registry ~spec ~schedule engine sim topo =
     armed = false;
   }
 
-let schedule t = t.schedule
 let injected_total t = t.injected
 
 (* Runs only in shard-0 events (see [arm]), so the plain mutable count
@@ -82,7 +78,7 @@ let count_injection t fault =
   match t.registry with
   | None -> ()
   | Some reg ->
-      let kind = F.kind_name fault in
+      let kind = F.kind_name (F.Fault fault) in
       let c =
         match Hashtbl.find_opt t.kind_counters kind with
         | Some c -> c
@@ -232,19 +228,6 @@ let heal t fault =
   | F.Slow_cpu { addr; _ } ->
       Cpu.set_speed_factor (Topology.cpu t.topo addr) 1.0
 
-let window_of = function
-  | F.Partition { for_s; _ }
-  | F.Link_drop { for_s; _ }
-  | F.Link_delay { for_s; _ }
-  | F.Link_dup { for_s; _ }
-  | F.Wan_degrade { for_s; _ }
-  | F.Lan_degrade { for_s; _ }
-  | F.Slow_cpu { for_s; _ } ->
-      Some for_s
-  | F.Crash_node _ | F.Recover_node _ | F.Crash_group _ | F.Recover_group _
-    ->
-      None
-
 let arm t =
   if t.armed then invalid_arg "Injector.arm: already armed";
   t.armed <- true;
@@ -252,18 +235,18 @@ let arm t =
   t.link_faults <-
     Array.of_list
       (List.filter_map
-         (fun { F.at; fault } ->
+         (fun (at, fault) ->
            if is_link_fault fault then begin
              let from_s = Float.max at tnow in
-             let for_s = Option.value ~default:0.0 (window_of fault) in
+             let for_s = Option.value ~default:0.0 (F.fault_window fault) in
              Some { lf = fault; from_s; until_s = from_s +. for_s; count = ref 0 }
            end
            else None)
-         t.schedule);
+         t.faults);
   if Array.length t.link_faults > 0 then
     Topology.set_fault_hook t.topo (Some (hook t));
   List.iter
-    (fun { F.at; fault } ->
+    (fun (at, fault) ->
       let at = Float.max at tnow in
       (* Counting + tracing stay on the creation shard (shard 0 for the
          runner's deployments): one writer for the injected total, the
@@ -271,18 +254,14 @@ let arm t =
       ignore
         (Sim.at t.sim at (fun () ->
              count_injection t fault;
-             match window_of fault with
-             | None ->
-                 Trace.instant t.trace ~cat:"fault"
-                   (F.kind_name fault)
-                   ~args:[ ("spec", Trace.Str (F.fault_to_string fault)) ]
+             let kind = F.kind_name (F.Fault fault)
+             and args =
+               [ ("spec", Trace.Str (F.action_to_string (F.Fault fault))) ]
+             in
+             match F.fault_window fault with
+             | None -> Trace.instant t.trace ~cat:"fault" kind ~args
              | Some for_s ->
-                 let span =
-                   Trace.span_begin t.trace ~cat:"fault"
-                     (F.kind_name fault)
-                     ~args:
-                       [ ("spec", Trace.Str (F.fault_to_string fault)) ]
-                 in
+                 let span = Trace.span_begin t.trace ~cat:"fault" kind ~args in
                  ignore
                    (Sim.after t.sim for_s (fun () ->
                         Trace.span_end t.trace span))));
@@ -294,8 +273,8 @@ let arm t =
           ignore
             (Sim.at gsim at (fun () ->
                  apply t fault;
-                 match window_of fault with
+                 match F.fault_window fault with
                  | None -> ()
                  | Some for_s ->
                      ignore (Sim.after gsim for_s (fun () -> heal t fault)))))
-    t.schedule
+    t.faults

@@ -53,7 +53,7 @@ val create :
   t
 (** [liveness_bound_s] (default 3.0) is the maximum tolerated progress
     gap after [heal_by] (default 0.0 — pass
-    [Fault_spec.heal_time schedule]; an infinite [heal_by], e.g. from a
+    [Scenario.heal_time scenario]; an infinite [heal_by], e.g. from a
     never-recovered crash, disables the liveness watchdog entirely).
     With [fail_fast] (default false) the first violation raises
     {!Violation} out of the simulation instead of only recording.

@@ -6,11 +6,8 @@ module Metrics = Massbft.Metrics
 module Stats = Massbft_util.Stats
 module Sampler = Massbft_obs.Sampler
 module Saturation = Massbft_obs.Saturation
-module Injector = Massbft_faults.Injector
-module Adversary = Massbft_adversary.Adversary
+module Deployment = Massbft_faults.Deployment
 module Prof = Massbft_prof.Prof
-module Reconfig = Massbft_reconfig.Reconfig
-module Reconfig_spec = Massbft_reconfig.Reconfig_spec
 
 type result = {
   system : Config.system;
@@ -50,65 +47,23 @@ let warn_if_oversubscribed requested =
       (if host = 1 then "" else "s")
   end
 
-let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_engine ?faults
-    ?adversary ?reconfig ?on_reconfig ?(domains = 1) ~spec ~cfg () =
-  (* Sequential experiment sweeps allocate a full cluster per run;
-     compact between them so long figure suites stay within memory. *)
-  Gc.compact ();
+let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_engine
+    ?(scenario = []) ?on_reconfig ?(domains = 1) ~spec ~cfg () =
   if domains > 1 then warn_if_oversubscribed domains;
-  let ng = Array.length spec.Topology.group_sizes in
-  let domains = Stdlib.min domains ng in
-  let parallel = domains > 1 in
-  if parallel then begin
-    (* The trace sink, the sampler's registry and the adversary's
-       interposer are single-writer structures the parallel driver
-       cannot serialize; the run modes that need them stay sequential. *)
-    if trace <> None then
-      invalid_arg "Runner.run: tracing requires domains = 1";
-    if obs <> None then
-      invalid_arg "Runner.run: the sampler requires domains = 1";
-    if adversary <> None && adversary <> Some [] then
-      invalid_arg "Runner.run: adversary plans require domains = 1";
-    if reconfig <> None && reconfig <> Some [] then
-      invalid_arg "Runner.run: reconfiguration plans require domains = 1"
-  end;
-  (* A reconfiguration plan expands the topology up front: every slot
-     the plan will ever activate is provisioned dark. An empty plan
-     returns the spec unchanged, byte-identically. *)
-  let plan = Option.value ~default:[] reconfig in
-  (match Reconfig_spec.validate ~group_sizes:spec.Topology.group_sizes plan with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Runner.run: bad reconfiguration plan: " ^ e));
-  let provisioned = Reconfig_spec.provision ~spec plan in
-  let spec = provisioned.Reconfig_spec.p_spec in
-  (* One shard per physical group, dark slots included. *)
-  let ng = Array.length spec.Topology.group_sizes in
-  (* Domains share nothing through the store: the memoized-outcome
-     shortcut is a cross-shard write, so parallel runs force the
-     independent-stores execution mode (semantically equivalent;
-     see Config). *)
-  let cfg =
-    if parallel && not cfg.Config.independent_stores then
-      { cfg with Config.independent_stores = true }
-    else cfg
+  (* The sampler's registry, like the trace sink, is a single-writer
+     structure: the deployment rejects it for parallel runs. *)
+  let d =
+    Deployment.create ?trace
+      ?registry:(Option.map Sampler.registry obs)
+      ~domains ~spec ~cfg scenario
   in
-  (* One shard per group even when running sequentially: the default
-     driver is the sharded merge loop, and [domains] only selects how
-     many OCaml domains pump the same shard structure. *)
-  let sim =
-    Sim.create ~shards:ng ~lookahead:(Topology.min_wan_one_way spec) ()
-  in
-  let topo = Topology.create sim spec in
-  let engine = Engine.create sim topo cfg in
-  (match trace with Some tr -> Engine.set_trace engine tr | None -> ());
+  let sim = d.Deployment.sim and topo = d.Deployment.topo in
+  let engine = d.Deployment.engine in
+  let parallel = d.Deployment.domains > 1 in
   (* The host profiler hooks the driver loops only (no events, no sim
      state), so it composes with every run mode, parallel included. *)
   (match prof with Some p -> Prof.attach p sim | None -> ());
-  (* Arm the reconfiguration controller before the engine starts: the
-     dark slots must be crashed and the membership masks installed
-     before the first batch timer fires. An empty plan arms nothing. *)
-  let controller = Reconfig.arm engine ~provisioned plan in
-  (match on_reconfig with Some f -> f controller | None -> ());
+  (match on_reconfig with Some f -> f d.Deployment.reconfig | None -> ());
   (* With no sampler, nothing below schedules a single event: the run
      is bit-identical to one without observability. *)
   (match obs with
@@ -121,27 +76,16 @@ let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_engine ?faults
   Engine.start engine;
   Engine.set_measure_from engine warmup;
   (match on_engine with Some f -> f engine sim topo | None -> ());
-  (* Fault schedules arm through the same injector as the chaos fuzzer;
-     [?faults:None] (or an empty schedule) arms nothing and the run
-     stays bit-identical to a fault-free build. *)
-  (match faults with
-  | Some schedule when schedule <> [] ->
-      let registry = Option.map Sampler.registry obs in
-      Injector.arm
-        (Injector.create ?trace ?registry ~spec ~schedule engine sim topo)
-  | Some _ | None -> ());
-  (* Adversary plans arm the Byzantine interposer on the typed send
-     path; same no-op contract as faults for [None] / []. *)
-  (match adversary with
-  | Some plan when plan <> [] ->
-      let registry = Option.map Sampler.registry obs in
-      Adversary.arm (Adversary.create ?trace ?registry ~spec ~plan engine sim)
-  | Some _ | None -> ());
+  (* Faults and attacks arm through the same path as the chaos fuzzer;
+     an empty scenario arms nothing and the run stays bit-identical to
+     a fault-free build. *)
+  Deployment.arm d;
   if parallel then begin
     (* Two-phase drive: run to the warm-up cutoff, take the traffic
        baseline at the barrier (a single-threaded safe point), then run
        the measurement window. The sequential mode keeps its in-run
        event so existing byte-for-byte fixtures are untouched. *)
+    let domains = d.Deployment.domains in
     Sim.run_parallel sim ~domains ~until:warmup ();
     Topology.reset_traffic_baseline topo;
     Sim.run_parallel sim ~domains ~until:(warmup +. duration) ()
@@ -214,11 +158,10 @@ let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_engine ?faults
    the bare pipeline latency). Throughput numbers always come from a
    saturated [run]. *)
 let run_latency_probe ?(duration = 6.0) ?(warmup = 2.0) ?trace ?obs ?prof
-    ?on_engine ?faults ?adversary ?reconfig ?on_reconfig ?domains ~spec ~cfg ()
-    =
+    ?on_engine ?scenario ?on_reconfig ?domains ~spec ~cfg () =
   let probe_cfg = { cfg with Config.max_batch = 40; pipeline = 2 } in
-  run ~duration ~warmup ?trace ?obs ?prof ?on_engine ?faults ?adversary
-    ?reconfig ?on_reconfig ?domains ~spec ~cfg:probe_cfg ()
+  run ~duration ~warmup ?trace ?obs ?prof ?on_engine ?scenario ?on_reconfig
+    ?domains ~spec ~cfg:probe_cfg ()
 
 let pp_result fmt r =
   Format.fprintf fmt

@@ -35,9 +35,7 @@ val run :
   ?obs:Massbft_obs.Sampler.t ->
   ?prof:Massbft_prof.Prof.t ->
   ?on_engine:(Massbft.Engine.t -> Massbft_sim.Sim.t -> Massbft_sim.Topology.t -> unit) ->
-  ?faults:Massbft_faults.Fault_spec.schedule ->
-  ?adversary:Massbft_adversary.Adv_spec.plan ->
-  ?reconfig:Massbft_reconfig.Reconfig_spec.plan ->
+  ?scenario:Massbft_scenario.Scenario.t ->
   ?on_reconfig:(Massbft_reconfig.Reconfig.t -> unit) ->
   ?domains:int ->
   spec:Massbft_sim.Topology.spec ->
@@ -57,22 +55,15 @@ val run :
     metrics are independent — pass either, both, or neither.
     [on_engine] runs after [Engine.start] and before the clock moves —
     the hook for experiment-specific setup (bandwidth degradation,
-    recovery schedules...). [faults] arms a
-    {!Massbft_faults.Injector} over the schedule (times are absolute
-    simulated seconds, so faults meant for the measurement window must
-    land after [warmup]); omitting it — or passing [[]] — arms nothing
-    and the run is bit-identical to a fault-free one. [adversary] arms
-    a {!Massbft_adversary.Adversary} over the plan (same absolute-time
-    and no-op contract as [faults]).
-
-    [reconfig] validates and arms a live-membership plan
-    ({!Massbft_reconfig.Reconfig}): the topology is expanded by
-    {!Massbft_reconfig.Reconfig_spec.provision} before the cluster is
-    built, the controller is armed before [Engine.start], and
-    [on_reconfig] receives it (for epoch-aware checks and join
-    receipts). An empty or omitted plan provisions and arms nothing —
-    byte-identical to a build without the subsystem. Plans require
-    [domains = 1].
+    recovery schedules...). [scenario] is validated, provisioned and
+    armed by {!Massbft_faults.Deployment}: faults through the injector,
+    attacks through the adversary engine, membership commands through
+    the reconfiguration controller, whose handle [on_reconfig] receives
+    (for epoch-aware checks and join receipts). Times are absolute
+    simulated seconds, so actions meant for the measurement window must
+    land after [warmup]. Omitting it — or passing [[]] — provisions and
+    arms nothing and the run is bit-identical to a fault-free one.
+    Attacks and membership commands require [domains = 1].
 
     The scheduler always runs one shard per group behind the scenes;
     [domains] (default 1, clamped to the group count) selects how many
@@ -102,9 +93,7 @@ val run_latency_probe :
   ?obs:Massbft_obs.Sampler.t ->
   ?prof:Massbft_prof.Prof.t ->
   ?on_engine:(Massbft.Engine.t -> Massbft_sim.Sim.t -> Massbft_sim.Topology.t -> unit) ->
-  ?faults:Massbft_faults.Fault_spec.schedule ->
-  ?adversary:Massbft_adversary.Adv_spec.plan ->
-  ?reconfig:Massbft_reconfig.Reconfig_spec.plan ->
+  ?scenario:Massbft_scenario.Scenario.t ->
   ?on_reconfig:(Massbft_reconfig.Reconfig.t -> unit) ->
   ?domains:int ->
   spec:Massbft_sim.Topology.spec ->

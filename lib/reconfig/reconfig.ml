@@ -1,10 +1,10 @@
 (* The live-membership reconfiguration controller.
 
-   A plan (Reconfig_spec) is armed on a freshly created engine whose
-   topology was expanded by [Reconfig_spec.provision]: every slot the
-   plan will ever activate exists from the start but is dark — crashed
-   and masked out of every quorum — until its epoch. At each plan
-   event the controller powers the dark hardware up, catches it up by a
+   A scenario's membership commands are armed on a freshly created
+   engine whose topology was expanded by [Scenario.provision]: every
+   slot the scenario will ever activate exists from the start but is
+   dark — crashed and masked out of every quorum — until its epoch. At
+   each command the controller powers the dark hardware up, catches it up by a
    rate-limited chunked state transfer (with capped-backoff retry and
    donor rotation), and then submits the command's one-line wire form
    to the coordinator group, where the batcher forms it into a zero-txn
@@ -35,7 +35,7 @@ module Kvstore = Massbft_exec.Kvstore
 module Ledger = Massbft_exec.Ledger
 module W = Massbft_workload.Workload
 module Entry_tbl = Types.Entry_tbl
-module Spec = Reconfig_spec
+module Spec = Massbft_scenario.Scenario
 
 (* ------------------------------------------------------------------ *)
 (* Records the epoch-aware invariants consume                          *)
@@ -94,7 +94,6 @@ type transfer = {
 type t = {
   eng : Engine.t;
   c : N.t;
-  plan : Spec.plan;
   base_ng : int;
   mutable next_gid : int;  (* next unused gid for add-group *)
   next_slot : int array;  (* next dark slot to power up, per group *)
@@ -114,23 +113,12 @@ let chunk_bytes = 256 * 1024
 (* Small helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let tokens s =
-  List.filter (fun x -> x <> "") (String.split_on_char ' ' (String.trim s))
-
-let kw_int toks key =
-  let rec go = function
-    | k :: v :: _ when k = key -> int_of_string_opt v
-    | _ :: rest -> go rest
-    | [] -> None
-  in
-  go toks
-
 (* The joining gid rides the wire form ("add-group size 4 gid 3") so
    every leader admits the same physical group. *)
 let wire_gid wire =
-  match kw_int (tokens wire) "gid" with
-  | Some g -> g
-  | None -> invalid_arg ("Reconfig: add-group wire missing gid: " ^ wire)
+  match Spec.member_of_wire wire with
+  | _, Some g -> g
+  | _, None -> invalid_arg ("Reconfig: add-group wire missing gid: " ^ wire)
 
 let members (c : N.t) =
   let ms = ref [] in
@@ -287,7 +275,7 @@ let start_transfer t ~wire ~gid ~dst ~lan =
   watch t x
 
 (* ------------------------------------------------------------------ *)
-(* Plan-event triggers                                                 *)
+(* Command triggers                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let trigger t (cmd : Spec.command) =
@@ -298,10 +286,11 @@ let trigger t (cmd : Spec.command) =
       t.next_slot.(g) <- slot + 1;
       let a = { Topology.g; n = slot } in
       Engine.recover_node t.eng a;
-      start_transfer t ~wire:(Spec.command_to_string cmd) ~gid:g ~dst:a
-        ~lan:true
+      start_transfer t
+        ~wire:(Spec.action_to_string (Spec.Member cmd))
+        ~gid:g ~dst:a ~lan:true
   | Spec.Remove_node _ | Spec.Move_leader _ | Spec.Remove_group _ ->
-      Engine.submit_conf t.eng (Spec.command_to_string cmd)
+      Engine.submit_conf t.eng (Spec.action_to_string (Spec.Member cmd))
   | Spec.Add_group { size } ->
       let gid = t.next_gid in
       t.next_gid <- gid + 1;
@@ -542,7 +531,7 @@ let on_round t (e : N.entry) r =
     Entry_tbl.replace t.flipped e.N.eid ();
     let c = t.c in
     let wire = Option.get e.N.conf in
-    match Spec.command_of_string wire with
+    match fst (Spec.member_of_wire wire) with
     | Spec.Add_group _ -> c.N.member_from.(wire_gid wire) <- r + 1
     | Spec.Remove_group g -> c.N.member_until.(g) <- r + 1
     | Spec.Add_node _ | Spec.Remove_node _ | Spec.Move_leader _ -> ()
@@ -591,7 +580,7 @@ let apply_once t (l : N.leader) (e : N.entry) wire cmd =
 let on_apply t (l : N.leader) (e : N.entry) =
   let c = t.c in
   let wire = match e.N.conf with Some w -> w | None -> assert false in
-  let cmd = Spec.command_of_string wire in
+  let cmd = fst (Spec.member_of_wire wire) in
   apply_once t l e wire cmd;
   t.boundaries <-
     {
@@ -625,7 +614,8 @@ let on_apply t (l : N.leader) (e : N.entry) =
 (* Arming                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let arm eng ~(provisioned : Spec.provisioned) plan =
+let arm eng ~(provisioned : Spec.provisioned) scenario =
+  let commands = Spec.members scenario in
   let c = Engine.ctx eng in
   let ng = c.N.ng in
   let base_ng =
@@ -644,7 +634,6 @@ let arm eng ~(provisioned : Spec.provisioned) plan =
     {
       eng;
       c;
-      plan;
       base_ng;
       next_gid = base_ng;
       next_slot = Array.copy provisioned.Spec.p_active;
@@ -658,7 +647,7 @@ let arm eng ~(provisioned : Spec.provisioned) plan =
       retries = 0;
     }
   in
-  if plan <> [] then begin
+  if commands <> [] then begin
     c.N.reconfig_on <- true;
     Array.blit provisioned.Spec.p_active 0 c.N.active_n 0 ng;
     Array.blit provisioned.Spec.p_member 0 c.N.g_member 0 ng;
@@ -691,9 +680,8 @@ let arm eng ~(provisioned : Spec.provisioned) plan =
     Engine.arm_watchdogs eng;
     let s0 = N.sim_of c 0 in
     List.iter
-      (fun (ev : Spec.event) ->
-        ignore (Sim.at s0 ev.Spec.at (fun () -> trigger t ev.Spec.cmd)))
-      (Spec.sorted plan)
+      (fun (at, cmd) -> ignore (Sim.at s0 at (fun () -> trigger t cmd)))
+      commands
   end;
   t
 

@@ -1,20 +1,20 @@
 (** The live-membership reconfiguration controller (DESIGN.md §15).
 
-    A {!Reconfig_spec} plan is armed on an engine created from the
-    plan's {!Reconfig_spec.provision}ed topology: future slots exist
-    from the start but stay dark — crashed and masked out of every
-    quorum — until their epoch. Each plan event powers the hardware up,
-    catches it up by a rate-limited chunked state transfer (capped
-    backoff, donor rotation), then orders the command through global
-    consensus as a zero-transaction epoch-boundary entry, so every
-    group applies the membership flip at the same position in the total
-    order. An empty plan arms nothing: the run is byte-identical to one
-    without the reconfiguration subsystem. *)
+    A scenario's membership commands are armed on an engine created
+    from the scenario's {!Massbft_scenario.Scenario.provision}ed
+    topology: future slots exist from the start but stay dark — crashed
+    and masked out of every quorum — until their epoch. Each command
+    powers the hardware up, catches it up by a rate-limited chunked
+    state transfer (capped backoff, donor rotation), then orders the
+    command through global consensus as a zero-transaction
+    epoch-boundary entry, so every group applies the membership flip at
+    the same position in the total order. A scenario without membership commands arms nothing: the run
+    is byte-identical to one without the reconfiguration subsystem. *)
 
 module Topology = Massbft_sim.Topology
 module Engine = Massbft.Engine
 module Types = Massbft.Types
-module Spec = Reconfig_spec
+module Spec = Massbft_scenario.Scenario
 
 (** One leader's application of one epoch boundary; [b_pos] is that
     leader's executed-entry count at the flip, so agreement on
@@ -48,12 +48,12 @@ type join_report = {
 
 type t
 
-val arm : Engine.t -> provisioned:Spec.provisioned -> Spec.plan -> t
-(** Arm the plan on a not-yet-started engine that was created from
-    [provisioned.p_spec]. Installs the membership masks, crashes the
-    dark slots, installs the engine's [reconfig_round]/[reconfig_apply]
-    seams and schedules the plan's triggers. An empty plan changes
-    nothing. *)
+val arm : Engine.t -> provisioned:Spec.provisioned -> Spec.t -> t
+(** Arm the scenario's membership commands on a not-yet-started engine
+    that was created from [provisioned.p_spec]. Installs the membership
+    masks, crashes the dark slots, installs the engine's
+    [reconfig_round]/[reconfig_apply] seams and schedules the command
+    triggers. Without membership commands nothing changes. *)
 
 val boundaries : t -> boundary list
 (** Every (leader, boundary) application, oldest first. *)

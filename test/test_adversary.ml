@@ -1,5 +1,5 @@
-(* Tests for the Byzantine adversary engine: the strategy DSL
-   (round-trip, validation, heal times), accountability evidence
+(* Tests for the Byzantine adversary engine: the attack lines of the
+   scenario language (round-trip, validation, heal times), accountability evidence
    (signing, tamper detection, conflict pairs, the log), the strict
    no-op contract (an armed empty plan reproduces every system's golden
    fingerprint byte-for-byte), tolerable-vs-intolerable equivocation
@@ -13,7 +13,7 @@ module Topology = Massbft_sim.Topology
 module Config = Massbft.Config
 module Registry = Massbft_obs.Registry
 module Clusters = Massbft_harness.Clusters
-module A = Massbft_adversary.Adv_spec
+module A = Massbft_scenario.Scenario
 module Evidence = Massbft_adversary.Evidence
 module Invariants = Massbft_faults.Invariants
 module Chaos = Massbft_faults.Chaos
@@ -32,48 +32,22 @@ let small_cfg ?(system = Config.Massbft) () =
   }
 
 let small_spec () = Clusters.nationwide ~nodes_per_group:4 ()
+let attack at s = { A.at; action = A.Attack s }
 
 (* ------------------------------------------------------------------ *)
 (* DSL                                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* One event of every variant, with representative field values. *)
-let kitchen_sink : A.plan =
+let kitchen_sink : A.t =
   [
-    {
-      A.at = 2.0;
-      strategy = A.Equivocate { target = A.Leader 0; for_s = 3.0 };
-    };
-    {
-      A.at = 2.5;
-      strategy = A.Equivocate_raft { target = A.Leader 1; for_s = 2.0 };
-    };
-    {
-      A.at = 1.0;
-      strategy =
-        A.Withhold { target = A.Node { Topology.g = 0; n = 1 }; for_s = 2.5 };
-    };
-    {
-      A.at = 4.0;
-      strategy =
-        A.Split_votes { target = A.Node { Topology.g = 1; n = 2 }; for_s = 2.0 };
-    };
-    {
-      A.at = 1.5;
-      strategy =
-        A.Replay { target = A.Leader 2; copies = 2; gap_s = 0.25; for_s = 2.0 };
-    };
-    {
-      A.at = 2.25;
-      strategy =
-        A.Delay_valid
-          { target = A.Node { Topology.g = 1; n = 3 }; add_s = 0.3; for_s = 1.5 };
-    };
-    {
-      A.at = 6.0;
-      strategy =
-        A.Tamper { target = A.Node { Topology.g = 2; n = 3 }; for_s = 10.0 };
-    };
+    attack 2.0 (A.Equivocate { target = A.Leader 0; for_s = 3.0 });
+    attack 2.5 (A.Equivocate_raft { target = A.Leader 1; for_s = 2.0 });
+    attack 1.0 (A.Withhold { target = A.Node { Topology.g = 0; n = 1 }; for_s = 2.5 });
+    attack 4.0 (A.Split_votes { target = A.Node { Topology.g = 1; n = 2 }; for_s = 2.0 });
+    attack 1.5 (A.Replay { target = A.Leader 2; copies = 2; gap_s = 0.25; for_s = 2.0 });
+    attack 2.25 (A.Delay_valid { target = A.Node { Topology.g = 1; n = 3 }; add_s = 0.3; for_s = 1.5 });
+    attack 6.0 (A.Tamper { target = A.Node { Topology.g = 2; n = 3 }; for_s = 10.0 });
   ]
 
 let test_round_trip () =
@@ -99,13 +73,21 @@ let test_parse_comments_and_errors () =
   check_bool "bad target rejected" true (raises "@1 equivocate g0/n1 for 1");
   check_bool "missing keyword arg rejected" true
     (raises "@1 replay leader:g0 copies 2 for 1");
-  check_bool "bad number rejected" true (raises "@1 equivocate leader:g0 for x")
+  check_bool "bad number rejected" true (raises "@1 equivocate leader:g0 for x");
+  check_bool "repeated key rejected" true
+    (raises "@1 equivocate leader:g0 for 1 for 2");
+  check_bool "unknown key rejected" true
+    (raises "@1 tamper node:g0/n3 for 2 stealth 1");
+  check_bool "hex copies rejected" true
+    (raises "@1 replay leader:g0 copies 0x2 gap 0.1 for 1");
+  check_bool "hex target group rejected" true
+    (raises "@1 withhold leader:g0x1 for 1")
 
 let test_validate () =
   let gs = [| 4; 4; 4 |] in
   let ok p = A.validate ~group_sizes:gs p = Ok () in
   check_bool "kitchen sink validates" true (ok kitchen_sink);
-  let bad strategy = not (ok [ { A.at = 1.0; strategy } ]) in
+  let bad strategy = not (ok [ attack 1.0 strategy ]) in
   check_bool "leader group out of range" true
     (bad (A.Equivocate { target = A.Leader 7; for_s = 1.0 }));
   check_bool "node out of range" true
@@ -121,10 +103,7 @@ let test_validate () =
   check_bool "negative time rejected" true
     (A.validate ~group_sizes:gs
        [
-         {
-           A.at = -1.0;
-           strategy = A.Equivocate { target = A.Leader 0; for_s = 1.0 };
-         };
+         attack (-1.0) (A.Equivocate { target = A.Leader 0; for_s = 1.0 });
        ]
     <> Ok ())
 
@@ -248,7 +227,7 @@ let test_noop_golden () =
             let adv =
               Massbft_adversary.Adversary.create
                 ~spec:(Clusters.nationwide ~nodes_per_group:4 ())
-                ~plan:[] engine sim
+                ~scenario:[] engine sim
             in
             Massbft_adversary.Adversary.arm adv)
           ~system ()
@@ -265,7 +244,7 @@ let test_noop_golden () =
 
 let run_plan ?(system = Config.Massbft) ?(registry : Registry.t option) plan =
   Chaos.run_schedule ~duration:6.0 ~liveness_bound_s:3.0 ?registry
-    ~adversary:plan ~spec:(small_spec ()) ~cfg:(small_cfg ~system ()) []
+    ~spec:(small_spec ()) ~cfg:(small_cfg ~system ()) plan
 
 let safety_violations (o : Chaos.outcome) =
   List.filter
@@ -279,7 +258,7 @@ let safety_violations (o : Chaos.outcome) =
 let test_single_equivocator_tolerated () =
   let plan =
     [
-      { A.at = 1.0; strategy = A.Equivocate { target = A.Leader 0; for_s = 2.0 } };
+      attack 1.0 (A.Equivocate { target = A.Leader 0; for_s = 2.0 });
     ]
   in
   let o = run_plan plan in
@@ -299,16 +278,8 @@ let test_single_equivocator_tolerated () =
    verified conflicting-signed-message pair. *)
 let intolerable_plan =
   [
-    {
-      A.at = 0.5;
-      strategy =
-        A.Equivocate { target = A.Node { Topology.g = 0; n = 0 }; for_s = 4.0 };
-    };
-    {
-      A.at = 0.5;
-      strategy =
-        A.Equivocate { target = A.Node { Topology.g = 0; n = 1 }; for_s = 4.0 };
-    };
+    attack 0.5 (A.Equivocate { target = A.Node { Topology.g = 0; n = 0 }; for_s = 4.0 });
+    attack 0.5 (A.Equivocate { target = A.Node { Topology.g = 0; n = 1 }; for_s = 4.0 });
   ]
 
 let test_intolerable_detected_with_evidence () =
@@ -340,22 +311,9 @@ let test_intolerable_shrinks_to_pair () =
      tolerable — the reproducer is 1-minimal). *)
   let noise =
     [
-      {
-        A.at = 1.0;
-        strategy =
-          A.Delay_valid
-            { target = A.Node { Topology.g = 1; n = 2 }; add_s = 0.1; for_s = 1.0 };
-      };
-      {
-        A.at = 1.5;
-        strategy =
-          A.Replay { target = A.Leader 2; copies = 1; gap_s = 0.2; for_s = 1.0 };
-      };
-      {
-        A.at = 2.0;
-        strategy =
-          A.Tamper { target = A.Node { Topology.g = 2; n = 3 }; for_s = 1.0 };
-      };
+      attack 1.0 (A.Delay_valid { target = A.Node { Topology.g = 1; n = 2 }; add_s = 0.1; for_s = 1.0 });
+      attack 1.5 (A.Replay { target = A.Leader 2; copies = 1; gap_s = 0.2; for_s = 1.0 });
+      attack 2.0 (A.Tamper { target = A.Node { Topology.g = 2; n = 3 }; for_s = 1.0 });
     ]
   in
   let plan = A.sorted (intolerable_plan @ noise) in
@@ -374,10 +332,7 @@ let test_injection_counter_strategy_label () =
   let o =
     run_plan ~registry
       [
-        {
-          A.at = 1.0;
-          strategy = A.Equivocate { target = A.Leader 0; for_s = 2.0 };
-        };
+        attack 1.0 (A.Equivocate { target = A.Leader 0; for_s = 2.0 });
       ]
   in
   check_bool "interference happened" true (o.Chaos.adv_injected > 0);
@@ -415,8 +370,8 @@ let test_adversary_drill_deterministic () =
   in
   let a = go () and b = go () in
   check_string "byte-identical generated plan"
-    (A.to_string a.Chaos.outcome.Chaos.adversary)
-    (A.to_string b.Chaos.outcome.Chaos.adversary);
+    (A.to_string a.Chaos.outcome.Chaos.scenario)
+    (A.to_string b.Chaos.outcome.Chaos.scenario);
   check_int "identical executed count" a.Chaos.outcome.Chaos.executed
     b.Chaos.outcome.Chaos.executed;
   check_int "identical interference count" a.Chaos.outcome.Chaos.adv_injected

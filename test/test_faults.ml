@@ -1,5 +1,5 @@
-(* Tests for the chaos layer: the fault-schedule DSL (round-trip,
-   validation, heal times), seeded determinism of the fuzzer (same seed
+(* Tests for the chaos layer: the fault lines of the scenario language
+   (round-trip, lexer strictness, validation, heal times), seeded determinism of the fuzzer (same seed
    => byte-identical schedule and result-identical run), a miniature
    campaign, detection + ddmin-shrinking of a deliberately intolerable
    schedule, and the fault-drill regression (throughput recovers after
@@ -13,7 +13,7 @@ module Metrics = Massbft.Metrics
 module Stats = Massbft_util.Stats
 module Rng = Massbft_util.Rng
 module Clusters = Massbft_harness.Clusters
-module F = Massbft_faults.Fault_spec
+module S = Massbft_scenario.Scenario
 module Injector = Massbft_faults.Injector
 module Invariants = Massbft_faults.Invariants
 module Chaos = Massbft_faults.Chaos
@@ -32,111 +32,121 @@ let small_cfg ?(system = Config.Massbft) () =
   }
 
 let small_spec () = Clusters.nationwide ~nodes_per_group:4 ()
+let fault at f = { S.at; action = S.Fault f }
 
 (* ------------------------------------------------------------------ *)
 (* DSL                                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* One event of every variant, with representative field values. *)
-let kitchen_sink : F.schedule =
+let kitchen_sink : S.t =
   [
-    { F.at = 1.0; fault = F.Crash_node { Topology.g = 0; n = 1 } };
-    { F.at = 2.5; fault = F.Recover_node { Topology.g = 0; n = 1 } };
-    { F.at = 3.0; fault = F.Crash_group 1 };
-    { F.at = 4.25; fault = F.Recover_group 1 };
-    { F.at = 0.5; fault = F.Partition { groups = [ 0; 2 ]; for_s = 1.5 } };
-    {
-      F.at = 1.125;
-      fault =
-        F.Link_drop { src_g = 0; dst_g = 1; every = 3; cls = F.Bulk; for_s = 2.0 };
-    };
-    {
-      F.at = 2.0;
-      fault =
-        F.Link_delay
-          { src_g = 1; dst_g = 2; add_s = 0.04; cls = F.Control; for_s = 1.0 };
-    };
-    {
-      F.at = 2.75;
-      fault =
-        F.Link_dup
-          { src_g = 2; dst_g = 0; copies = 2; every = 2; cls = F.Any; for_s = 1.0 };
-    };
-    { F.at = 5.0; fault = F.Wan_degrade { g = 2; factor = 0.25; for_s = 2.0 } };
-    { F.at = 5.5; fault = F.Lan_degrade { g = 0; factor = 0.5; for_s = 1.0 } };
-    {
-      F.at = 6.0;
-      fault = F.Slow_cpu { addr = { Topology.g = 1; n = 3 }; factor = 4.0; for_s = 2.0 };
-    };
+    fault 1.0 (S.Crash_node { Topology.g = 0; n = 1 });
+    fault 2.5 (S.Recover_node { Topology.g = 0; n = 1 });
+    fault 3.0 (S.Crash_group 1);
+    fault 4.25 (S.Recover_group 1);
+    fault 0.5 (S.Partition { groups = [ 0; 2 ]; for_s = 1.5 });
+    fault 1.125
+      (S.Link_drop { src_g = 0; dst_g = 1; every = 3; cls = S.Bulk; for_s = 2.0 });
+    fault 2.0
+      (S.Link_delay
+         { src_g = 1; dst_g = 2; add_s = 0.04; cls = S.Control; for_s = 1.0 });
+    fault 2.75
+      (S.Link_dup
+         { src_g = 2; dst_g = 0; copies = 2; every = 2; cls = S.Any; for_s = 1.0 });
+    fault 5.0 (S.Wan_degrade { g = 2; factor = 0.25; for_s = 2.0 });
+    fault 5.5 (S.Lan_degrade { g = 0; factor = 0.5; for_s = 1.0 });
+    fault 6.0
+      (S.Slow_cpu { addr = { Topology.g = 1; n = 3 }; factor = 4.0; for_s = 2.0 });
   ]
 
 let test_round_trip () =
-  let text = F.to_string kitchen_sink in
-  let back = F.of_string text in
+  let text = S.to_string kitchen_sink in
+  let back = S.of_string text in
   check_bool "of_string (to_string s) = s" true (back = kitchen_sink);
-  check_string "second round-trip is byte-identical" text (F.to_string back)
+  check_string "second round-trip is byte-identical" text (S.to_string back)
 
 let test_parse_comments_and_errors () =
   let sched =
-    F.of_string
-      "# a comment\n\n@1 crash-node g0/n2\n   \n# another\n@2 recover-node g0/n2\n"
+    S.of_string
+      "# a comment\n\n@1 crash-node g0/n2\n   \n# another\n\
+       @2 recover-node g0/n2  # trailing comment\n"
   in
   check_int "comments and blanks skipped" 2 (List.length sched);
   let raises text =
-    match F.of_string text with
+    match S.of_string text with
     | _ -> false
-    | exception F.Parse_error _ -> true
+    | exception S.Parse_error _ -> true
   in
   check_bool "unknown fault rejected" true (raises "@1 explode g0");
   check_bool "missing @time rejected" true (raises "crash-node g0/n0");
   check_bool "bad address rejected" true (raises "@1 crash-node n0/g0");
-  check_bool "missing keyword rejected" true (raises "@1 partition g0")
+  check_bool "missing keyword rejected" true (raises "@1 partition g0");
+  (* Lexer strictness: decimal numerals only, every key known and given
+     once. *)
+  check_bool "repeated key rejected" true
+    (raises "@1 link-drop g0->g1 every 3 class bulk for 0.5 for 9");
+  check_bool "unknown key rejected" true
+    (raises "@1 link-drop g0->g1 every 3 class bulk for 0.5 jitter 7");
+  check_bool "hex float time rejected" true
+    (raises "@0x1p1 slow-cpu g0/n0 factor 10 for 1");
+  check_bool "hex group id rejected" true
+    (raises "@1 slow-cpu g0x1/n0 factor 10 for 1");
+  check_bool "binary node id rejected" true
+    (raises "@1 slow-cpu g0/n0b1 factor 10 for 1");
+  check_bool "underscore numeral rejected" true
+    (raises "@1 slow-cpu g0/n0 factor 1_0 for 1");
+  check_bool "nan rejected" true (raises "@1 slow-cpu g0/n0 factor nan for 1");
+  check_bool "combined malformed line rejected" true
+    (raises "@0x1p1 slow-cpu g0x1/n0b1 factor 1_0 for 1");
+  check_bool "exponent form accepted" false
+    (raises "@1e1 slow-cpu g0/n0 factor 2.5E0 for 1e-1");
+  match S.of_string "@1 crash-node g0/n0\n\n@2 link-drop g0->g1 every 3 class bulk for 1 for 2\n" with
+  | _ -> Alcotest.fail "repeated key accepted"
+  | exception S.Parse_error { line; token; _ } ->
+      check_int "error names the line" 3 line;
+      check_string "error names the token" "for" token
 
 let test_validate () =
   let gs = [| 4; 4; 4 |] in
-  let ok s = F.validate ~group_sizes:gs s = Ok () in
+  let ok s = S.validate ~group_sizes:gs s = Ok () in
   check_bool "kitchen sink validates" true (ok kitchen_sink);
-  let bad fault = not (ok [ { F.at = 1.0; fault } ]) in
+  let bad f = not (ok [ fault 1.0 f ]) in
   check_bool "node out of range" true
-    (bad (F.Crash_node { Topology.g = 0; n = 9 }));
-  check_bool "group out of range" true (bad (F.Crash_group 7));
+    (bad (S.Crash_node { Topology.g = 0; n = 9 }));
+  check_bool "group out of range" true (bad (S.Crash_group 7));
   check_bool "LAN link fault rejected" true
-    (bad (F.Link_drop { src_g = 1; dst_g = 1; every = 1; cls = F.Any; for_s = 1.0 }));
+    (bad (S.Link_drop { src_g = 1; dst_g = 1; every = 1; cls = S.Any; for_s = 1.0 }));
   check_bool "degrade factor > 1 rejected" true
-    (bad (F.Wan_degrade { g = 0; factor = 1.5; for_s = 1.0 }));
+    (bad (S.Wan_degrade { g = 0; factor = 1.5; for_s = 1.0 }));
   check_bool "slow-cpu factor < 1 rejected" true
-    (bad (F.Slow_cpu { addr = { Topology.g = 0; n = 0 }; factor = 0.5; for_s = 1.0 }));
+    (bad (S.Slow_cpu { addr = { Topology.g = 0; n = 0 }; factor = 0.5; for_s = 1.0 }));
   check_bool "negative time rejected" true
-    (F.validate ~group_sizes:gs
-       [ { F.at = -1.0; fault = F.Crash_group 0 } ]
-    <> Ok ())
+    (S.validate ~group_sizes:gs [ fault (-1.0) (S.Crash_group 0) ] <> Ok ());
+  check_bool "the error names the offending event" true
+    (S.validate ~group_sizes:gs [ fault 2.5 (S.Crash_node { Topology.g = 0; n = 9 }) ]
+    = Error "@2.5 crash-node g0/n9: node g0/n9 out of range")
 
 let test_heal_time () =
   let feq = Alcotest.(check (float 1e-9)) in
-  feq "empty schedule heals at 0" 0.0 (F.heal_time []);
+  feq "empty schedule heals at 0" 0.0 (S.heal_time []);
   feq "window fault heals when its window closes" 3.5
-    (F.heal_time
-       [ { F.at = 1.5; fault = F.Wan_degrade { g = 0; factor = 0.5; for_s = 2.0 } } ]);
+    (S.heal_time [ fault 1.5 (S.Wan_degrade { g = 0; factor = 0.5; for_s = 2.0 }) ]);
   feq "crash heals at its recover event" 4.25
-    (F.heal_time
-       [
-         { F.at = 3.0; fault = F.Crash_group 1 };
-         { F.at = 4.25; fault = F.Recover_group 1 };
-       ]);
+    (S.heal_time [ fault 3.0 (S.Crash_group 1); fault 4.25 (S.Recover_group 1) ]);
   check_bool "unrecovered crash never heals" true
-    (F.heal_time [ { F.at = 1.0; fault = F.Crash_node { Topology.g = 0; n = 1 } } ]
-    = infinity);
+    (S.heal_time [ fault 1.0 (S.Crash_node { Topology.g = 0; n = 1 }) ] = infinity);
   feq "recovery of the wrong node does not heal the crash" infinity
-    (F.heal_time
+    (S.heal_time
        [
-         { F.at = 1.0; fault = F.Crash_node { Topology.g = 0; n = 1 } };
-         { F.at = 2.0; fault = F.Recover_node { Topology.g = 0; n = 2 } };
+         fault 1.0 (S.Crash_node { Topology.g = 0; n = 1 });
+         fault 2.0 (S.Recover_node { Topology.g = 0; n = 2 });
        ])
 
 let test_sorted () =
-  let s = F.sorted kitchen_sink in
+  let s = S.sorted kitchen_sink in
   let rec nondecreasing = function
-    | a :: (b :: _ as rest) -> a.F.at <= b.F.at && nondecreasing rest
+    | a :: (b :: _ as rest) -> a.S.at <= b.S.at && nondecreasing rest
     | _ -> true
   in
   check_bool "sorted by time" true (nondecreasing s);
@@ -150,12 +160,12 @@ let test_same_seed_same_schedule () =
   let cfg = small_cfg () and spec = small_spec () in
   let gen () =
     let rng = Rng.create 42L in
-    F.to_string (Chaos.gen_schedule rng ~cfg ~spec ~duration:8.0)
+    S.to_string (Chaos.gen_schedule rng ~cfg ~spec ~duration:8.0)
   in
   check_string "same seed generates a byte-identical schedule" (gen ()) (gen ());
   let other =
     let rng = Rng.create 43L in
-    F.to_string (Chaos.gen_schedule rng ~cfg ~spec ~duration:8.0)
+    S.to_string (Chaos.gen_schedule rng ~cfg ~spec ~duration:8.0)
   in
   check_bool "a different seed generates a different schedule" true
     (not (String.equal (gen ()) other))
@@ -169,8 +179,8 @@ let test_same_seed_same_run () =
   in
   let a = go () and b = go () in
   check_string "byte-identical schedule"
-    (F.to_string a.Chaos.outcome.Chaos.schedule)
-    (F.to_string b.Chaos.outcome.Chaos.schedule);
+    (S.to_string a.Chaos.outcome.Chaos.scenario)
+    (S.to_string b.Chaos.outcome.Chaos.scenario);
   check_int "identical executed count" a.Chaos.outcome.Chaos.executed
     b.Chaos.outcome.Chaos.executed;
   check_int "identical injection count" a.Chaos.outcome.Chaos.injected
@@ -204,9 +214,9 @@ let test_mini_campaign () =
 let test_shrink_minimal () =
   (* ddmin against a synthetic oracle: failure iff the schedule still
      contains the g1 crash. The other ten events must all be dropped. *)
-  let is_crash e = e.F.fault = F.Crash_group 1 in
+  let is_crash e = e.S.action = S.Fault (S.Crash_group 1) in
   let fails s = List.exists is_crash s in
-  let shrunk = Chaos.shrink ~fails (F.sorted kitchen_sink) in
+  let shrunk = Chaos.shrink ~fails (S.sorted kitchen_sink) in
   check_int "shrunk to the single culprit event" 1 (List.length shrunk);
   check_bool "and it is the crash" true (List.for_all is_crash shrunk);
   let healthy = List.filter (fun e -> not (is_crash e)) kitchen_sink in
@@ -222,7 +232,7 @@ let geobft_stalls schedule =
   let sim = Sim.create () in
   let topo = Topology.create sim spec in
   let engine = Engine.create sim topo cfg in
-  let inj = Injector.create ~spec ~schedule engine sim topo in
+  let inj = Injector.create ~spec ~scenario:schedule engine sim topo in
   (* heal_by is forced: the schedule deliberately never recovers, and
      the point is to assert the stall. *)
   let inv = Invariants.create ~liveness_bound_s:1.0 ~heal_by:2.0 engine sim in
@@ -238,28 +248,23 @@ let geobft_stalls schedule =
 let test_broken_invariant_detected_and_shrunk () =
   let noise =
     [
-      {
-        F.at = 0.8;
-        fault =
-          F.Link_delay
-            { src_g = 0; dst_g = 1; add_s = 0.02; cls = F.Any; for_s = 0.5 };
-      };
-      {
-        F.at = 1.0;
-        fault =
-          F.Slow_cpu { addr = { Topology.g = 2; n = 1 }; factor = 3.0; for_s = 0.5 };
-      };
-      { F.at = 1.2; fault = F.Wan_degrade { g = 1; factor = 0.5; for_s = 0.5 } };
+      fault 0.8
+        (S.Link_delay
+           { src_g = 0; dst_g = 1; add_s = 0.02; cls = S.Any; for_s = 0.5 });
+      fault 1.0
+        (S.Slow_cpu
+           { addr = { Topology.g = 2; n = 1 }; factor = 3.0; for_s = 0.5 });
+      fault 1.2 (S.Wan_degrade { g = 1; factor = 0.5; for_s = 0.5 });
     ]
   in
-  let culprit = { F.at = 1.5; fault = F.Crash_group 0 } in
-  let schedule = F.sorted (culprit :: noise) in
+  let culprit = fault 1.5 (S.Crash_group 0) in
+  let schedule = S.sorted (culprit :: noise) in
   check_bool "the intolerable schedule is detected" true (geobft_stalls schedule);
   check_bool "the benign noise alone passes" false (geobft_stalls noise);
   let shrunk = Chaos.shrink ~fails:geobft_stalls schedule in
   check_string "shrinks to the bare group crash"
-    (F.to_string [ culprit ])
-    (F.to_string shrunk)
+    (S.to_string [ culprit ])
+    (S.to_string shrunk)
 
 (* ------------------------------------------------------------------ *)
 (* Fault-drill regression                                              *)
@@ -282,16 +287,16 @@ let test_drill_recovery_and_tamper_safety () =
   in
   let spec = small_spec () in
   let schedule =
-    F.of_string
+    S.of_string
       (Printf.sprintf "@%g crash-group g0\n@%g recover-group g0\n" crash_at
          recover_at)
   in
   let sim = Sim.create () in
   let topo = Topology.create sim spec in
   let engine = Engine.create sim topo cfg in
-  let inj = Injector.create ~spec ~schedule engine sim topo in
+  let inj = Injector.create ~spec ~scenario:schedule engine sim topo in
   let inv =
-    Invariants.create ~heal_by:(F.heal_time schedule) engine sim
+    Invariants.create ~heal_by:(S.heal_time schedule) engine sim
   in
   Engine.start engine;
   Injector.arm inj;

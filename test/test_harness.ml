@@ -389,17 +389,17 @@ let test_domains_guards () =
       let obs = Massbft_obs.Sampler.create (Massbft_obs.Registry.create ()) in
       Runner.run ~warmup:0.5 ~duration:0.5 ~domains:2 ~obs ~spec ~cfg ());
   rejects "adversary requires domains = 1" (fun () ->
-      let plan =
+      let scenario =
         [
           {
-            Massbft_adversary.Adv_spec.at = 1.0;
-            strategy =
-              Massbft_adversary.Adv_spec.Equivocate
-                { target = Massbft_adversary.Adv_spec.Leader 0; for_s = 1.0 };
+            Massbft_scenario.Scenario.at = 1.0;
+            action =
+              Massbft_scenario.Scenario.(
+                Attack (Equivocate { target = Leader 0; for_s = 1.0 }));
           };
         ]
       in
-      Runner.run ~warmup:0.5 ~duration:0.5 ~domains:2 ~adversary:plan ~spec
+      Runner.run ~warmup:0.5 ~duration:0.5 ~domains:2 ~scenario ~spec
         ~cfg ())
 
 let () =
