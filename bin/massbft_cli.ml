@@ -15,6 +15,7 @@ module Exposition = Massbft_obs.Exposition
 module Saturation = Massbft_obs.Saturation
 module Scenario = Massbft_scenario.Scenario
 module Chaos = Massbft_faults.Chaos
+module Deployment = Massbft_faults.Deployment
 module Evidence = Massbft_adversary.Evidence
 module Topology = Massbft_sim.Topology
 module Prof = Massbft_prof.Prof
@@ -78,7 +79,7 @@ let workload_conv =
   in
   Arg.conv (parse, fun fmt w -> Format.pp_print_string fmt (W.kind_name w))
 
-(* ---- shared experiment options (run + trace) ---- *)
+(* ---- shared experiment options ---- *)
 
 let system_arg =
   Arg.(value & opt system_conv Config.Massbft & info [ "system"; "s" ]
@@ -143,12 +144,17 @@ let run_cmd =
   in
   let trace_file =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Also record a structured trace and write it to $(docv) as \
-                 Chrome trace_event JSON (open in Perfetto).")
+           ~doc:"Also record a structured trace, write it to $(docv) as \
+                 Chrome trace_event JSON (open in Perfetto) and print the \
+                 per-entry critical-path report. Needs --domains 1, except \
+                 with --prof: a parallel run then exports the host timeline \
+                 alone.")
   in
   let metrics_file =
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-           ~doc:"Also sample resource metrics and write them to $(docv): \
+           ~doc:"Also sample resource metrics, print each leader's WAN and \
+                 CPU utilization and the saturation report naming the \
+                 binding resource, and write the samples to $(docv): \
                  Prometheus text exposition by default, the JSON export \
                  for a .json destination, the per-tick CSV for .csv.")
   in
@@ -166,9 +172,10 @@ let run_cmd =
     Arg.(value & opt (some string) None & info [ "prof" ] ~docv:"FILE"
            ~doc:"Also self-profile the simulator's host-side execution \
                  (execute / barrier-stall / mailbox-merge / coordinator \
-                 wall-time phases plus GC deltas per window) and write the \
-                 profiler's JSON report to $(docv). Works in every run mode \
-                 including --domains > 1; with --trace, the exported trace \
+                 wall-time phases plus GC deltas per window), print the \
+                 parallel-efficiency report and write the profiler's JSON \
+                 report to $(docv). Works in every run mode including \
+                 --domains > 1; with --trace, the exported trace \
                  additionally carries the host timeline.")
   in
   let action system workload nodes groups worldwide duration warmup scale seed
@@ -177,7 +184,25 @@ let run_cmd =
       experiment_setup ~system ~workload ~nodes ~groups ~worldwide ~scale ~seed
     in
     let scenario = Option.map (load_scenario_or_die ~spec) scenario_file in
-    let sink = Option.map (fun _ -> Trace.create ()) trace_file in
+    (* The sim-timeline sink only composes with the sequential driver; a
+       parallel profiled run exports the host timeline alone. *)
+    let parallel = Deployment.effective_domains ~domains spec > 1 in
+    if parallel && trace_file <> None && prof_file = None then
+      die "--trace needs --domains 1 (or --prof, for the host timeline alone)";
+    (* Fail on an unwritable trace destination now, not after the run. *)
+    Option.iter
+      (fun file ->
+        match open_out file with
+        | oc -> close_out oc
+        | exception Sys_error e ->
+            prerr_endline ("massbft: cannot write trace: " ^ e);
+            exit 1)
+      trace_file;
+    let sink =
+      match trace_file with
+      | Some _ when not parallel -> Some (Trace.create ())
+      | _ -> None
+    in
     let prof = Option.map (fun _ -> Prof.create ()) prof_file in
     let obs =
       Option.map (fun _ -> Sampler.create (Obs_registry.create ())) metrics_file
@@ -208,9 +233,12 @@ let run_cmd =
         let oc = open_out file in
         output_string oc text;
         close_out oc;
-        (match r.Runner.binding_resource with
-        | Some res -> Format.printf "binding resource: %s@." res
-        | None -> ());
+        List.iteri
+          (fun g b ->
+            Format.printf "  leader g%d: wan_up busy %.2f  cpu %.2f@." g b
+              (List.nth r.Runner.leader_cpu_util g))
+          r.Runner.leader_wan_busy;
+        print_string (Saturation.report s);
         Format.printf "metrics: wrote %s (%d series, %d ticks)@." file
           (List.length (Obs_registry.collect (Sampler.registry s)))
           (Sampler.tick_count s)
@@ -221,14 +249,23 @@ let run_cmd =
         Format.printf "prof: wrote %s@." file;
         print_string (Prof_export.text (Prof.report p))
     | _ -> ());
-    match (trace_file, sink) with
-    | Some file, Some tr ->
+    match trace_file with
+    | None -> ()
+    | Some file -> (
         let host = Option.map Prof_export.to_trace prof in
-        Trace_export.write_chrome_json ?host tr file;
-        Format.printf "trace: wrote %s (%d events retained, %d dropped%s)@."
-          file (Trace.length tr) (Trace.dropped tr)
-          (if host = None then "" else ", host timeline attached")
-    | _ -> ()
+        match sink with
+        | Some tr ->
+            Trace_export.write_chrome_json ?host tr file;
+            Format.printf
+              "trace: wrote %s (%d events retained, %d emitted, %d dropped%s)@."
+              file (Trace.length tr) (Trace.emitted tr) (Trace.dropped tr)
+              (if host = None then "" else ", host timeline attached");
+            print_string (Trace_export.critical_path_report tr)
+        | None ->
+            (* A parallel run: only the host timeline exists. *)
+            Trace_export.write_chrome_json ?host (Trace.create ~capacity:1 ())
+              file;
+            Format.printf "trace: wrote %s (host timeline only)@." file)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one experiment on the simulated geo-cluster.")
@@ -237,123 +274,6 @@ let run_cmd =
       $ worldwide_arg $ duration $ warmup_arg $ scale_arg $ seed_arg
       $ domains_arg $ latency_probe $ trace_file $ metrics_file
       $ scenario_file $ prof_file)
-
-(* ---- trace ---- *)
-
-let trace_cmd =
-  let duration =
-    Arg.(value & opt float 2.0 & info [ "duration"; "d" ]
-           ~doc:"Measurement window, simulated seconds (short by default: \
-                 traces grow with simulated time).")
-  in
-  let out =
-    Arg.(value & opt string "trace.json" & info [ "out"; "o" ] ~docv:"FILE"
-           ~doc:"Where to write the Chrome trace_event JSON.")
-  in
-  let capacity =
-    Arg.(value & opt int 262144 & info [ "capacity" ]
-           ~doc:"Ring-buffer capacity in events; beyond it the oldest events \
-                 are dropped (and counted).")
-  in
-  let report =
-    Arg.(value & flag & info [ "report" ]
-           ~doc:"Also print the per-entry critical-path report.")
-  in
-  let action system workload nodes groups worldwide duration warmup scale seed
-      out capacity report =
-    if capacity <= 0 then begin
-      prerr_endline "massbft: option '--capacity': must be positive";
-      exit 124 (* cmdliner's CLI-error exit status *)
-    end;
-    (* Fail on an unwritable destination now, not after the run. *)
-    (match open_out out with
-    | oc -> close_out oc
-    | exception Sys_error e ->
-        prerr_endline ("massbft: cannot write trace: " ^ e);
-        exit 1);
-    let cfg, spec =
-      experiment_setup ~system ~workload ~nodes ~groups ~worldwide ~scale ~seed
-    in
-    let tr = Trace.create ~capacity () in
-    let r = Runner.run ~duration ~warmup ~trace:tr ~spec ~cfg () in
-    Trace_export.write_chrome_json tr out;
-    Format.printf "%a@." Runner.pp_result r;
-    Format.printf "trace: wrote %s (%d events retained, %d emitted, %d dropped)@."
-      out (Trace.length tr) (Trace.emitted tr) (Trace.dropped tr);
-    if report then print_string (Trace_export.critical_path_report tr)
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run one experiment with event tracing on and export a \
-          Perfetto-loadable trace plus an optional critical-path report.")
-    Term.(
-      const action $ system_arg $ workload_arg $ nodes_arg $ groups_arg
-      $ worldwide_arg $ duration $ warmup_arg $ scale_arg $ seed_arg $ out
-      $ capacity $ report)
-
-(* ---- metrics ---- *)
-
-let metrics_cmd =
-  let duration =
-    Arg.(value & opt float 6.0 & info [ "duration"; "d" ]
-           ~doc:"Measurement window, simulated seconds.")
-  in
-  let period =
-    Arg.(value & opt float 0.1 & info [ "period" ]
-           ~doc:"Sampling tick, simulated seconds.")
-  in
-  let threshold =
-    Arg.(value & opt float 0.95 & info [ "threshold" ]
-           ~doc:"Busy fraction above which a sampling window counts as \
-                 saturated.")
-  in
-  let out =
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
-           ~doc:"Also write the registry to $(docv) (same format selection \
-                 as 'run --metrics').")
-  in
-  let action system workload nodes groups worldwide duration warmup scale seed
-      period threshold out =
-    if period <= 0.0 then begin
-      prerr_endline "massbft: option '--period': must be positive";
-      exit 124
-    end;
-    let cfg, spec =
-      experiment_setup ~system ~workload ~nodes ~groups ~worldwide ~scale ~seed
-    in
-    let s = Sampler.create ~period (Obs_registry.create ()) in
-    let r = Runner.run ~duration ~warmup ~obs:s ~spec ~cfg () in
-    Format.printf "%a@." Runner.pp_result r;
-    List.iteri
-      (fun g b ->
-        Format.printf "  leader g%d: wan_up busy %.2f  cpu %.2f@." g b
-          (List.nth r.Runner.leader_cpu_util g))
-      r.Runner.leader_wan_busy;
-    print_string (Saturation.report ~threshold s);
-    match out with
-    | None -> ()
-    | Some file ->
-        let text =
-          if Filename.check_suffix file ".json" then
-            Exposition.json (Sampler.registry s)
-          else if Filename.check_suffix file ".csv" then Sampler.csv s
-          else Exposition.prometheus (Sampler.registry s)
-        in
-        let oc = open_out file in
-        output_string oc text;
-        close_out oc;
-        Format.printf "metrics: wrote %s@." file
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Run one experiment with resource sampling on and print the \
-          saturation report attributing the binding resource.")
-    Term.(
-      const action $ system_arg $ workload_arg $ nodes_arg $ groups_arg
-      $ worldwide_arg $ duration $ warmup_arg $ scale_arg $ seed_arg $ period
-      $ threshold $ out)
 
 (* ---- drill ---- *)
 
@@ -651,69 +571,6 @@ let drill_cmd =
       $ worldwide_arg $ scale $ seed $ seeds $ adversaries $ reconfigs
       $ duration $ quick $ no_shrink $ artifacts $ trace_file $ domains_arg)
 
-(* ---- prof ---- *)
-
-let prof_cmd =
-  let duration =
-    Arg.(value & opt float 6.0 & info [ "duration"; "d" ]
-           ~doc:"Measurement window, simulated seconds.")
-  in
-  let out =
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
-           ~doc:"Also write the profiler's JSON report (with the raw \
-                 per-window log) to $(docv).")
-  in
-  let trace_file =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Also write a Perfetto-loadable trace to $(docv). With \
-                 --domains 1 it carries both the simulated timeline and the \
-                 host timeline side by side; parallel runs (which reject \
-                 the sim trace sink) export the host timeline alone.")
-  in
-  let action system workload nodes groups worldwide duration warmup scale seed
-      domains out trace_file =
-    let cfg, spec =
-      experiment_setup ~system ~workload ~nodes ~groups ~worldwide ~scale ~seed
-    in
-    let p = Prof.create () in
-    (* The sim-timeline sink only composes with the sequential driver. *)
-    let sink =
-      match trace_file with
-      | Some _ when domains <= 1 -> Some (Trace.create ())
-      | _ -> None
-    in
-    let r = Runner.run ~duration ~warmup ?trace:sink ~prof:p ~domains ~spec ~cfg () in
-    Format.printf "%a@.@." Runner.pp_result r;
-    print_string (Prof_export.text (Prof.report p));
-    (match out with
-    | None -> ()
-    | Some file ->
-        Prof_export.write_json ~windows:true p file;
-        Format.printf "prof: wrote %s@." file);
-    match trace_file with
-    | None -> ()
-    | Some file ->
-        let host = Prof_export.to_trace p in
-        let sim_tr = match sink with Some tr -> tr | None -> Trace.create ~capacity:1 () in
-        Trace_export.write_chrome_json ~host sim_tr file;
-        Format.printf "trace: wrote %s (%s)@." file
-          (if sink = None then "host timeline only"
-           else "sim + host timelines")
-  in
-  Cmd.v
-    (Cmd.info "prof"
-       ~doc:
-         "Run one experiment with host-side self-profiling on: account the \
-          simulator's own wall-clock into execute / barrier-stall / \
-          mailbox-merge / coordinator phases per scheduler window, sample GC \
-          deltas, and print the parallel-efficiency report (ranked \
-          wall-time attribution, per-domain busy fractions, lookahead \
-          utilization).")
-    Term.(
-      const action $ system_arg $ workload_arg $ nodes_arg $ groups_arg
-      $ worldwide_arg $ duration $ warmup_arg $ scale_arg $ seed_arg
-      $ domains_arg $ out $ trace_file)
-
 (* ---- bench ---- *)
 
 let bench_cmd =
@@ -864,7 +721,6 @@ let main =
        ~doc:
          "MassBFT: fast and scalable geo-distributed BFT consensus \
           (reproduction of the ICDE 2025 paper).")
-    [ run_cmd; trace_cmd; metrics_cmd; prof_cmd; bench_cmd; drill_cmd;
-      figures_cmd; list_cmd; plan_cmd ]
+    [ run_cmd; bench_cmd; drill_cmd; figures_cmd; list_cmd; plan_cmd ]
 
 let () = exit (Cmd.eval main)

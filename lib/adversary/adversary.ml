@@ -40,7 +40,7 @@ type t = {
   registry : Registry.t option;
   evidence : Evidence.log;
   kind_counters : (string, Registry.counter) Hashtbl.t;
-  seen : (string, unit) Hashtbl.t;
+  seen : (Topology.addr, unit) Hashtbl.t;
       (* every node that ever matched an active strategy's target: the
          run's compromised set, consulted by the invariant checkers *)
   mutable active : A.strategy list;  (* activation order *)
@@ -69,7 +69,7 @@ let injected_total t = t.injected
 let evidence t = t.evidence
 
 let is_compromised t (a : Topology.addr) =
-  Hashtbl.mem t.seen (Topology.addr_to_string a)
+  Hashtbl.mem t.seen a
 
 (* Adversary interferences land in the same counter family as fault
    injections, distinguished by the [strategy] label (fault events
@@ -228,8 +228,12 @@ let rpayload_claim = function
    halves of an equivocation pass through here (one hook call per
    destination), so a fork becomes a conflict pair in the log. *)
 let record_evidence t ~(src : Topology.addr) m =
-  let signer = Topology.addr_to_string src in
-  let obs = Evidence.observe t.evidence ~signer in
+  (* Runs on every message a compromised node sends: the signer name is
+     built only for the kinds that carry a claim. *)
+  let obs ~kind ~gid ~seq ~slot ~claim =
+    Evidence.observe t.evidence ~signer:(Topology.addr_to_string src) ~kind
+      ~gid ~seq ~slot ~claim
+  in
   match m with
   | N.Local (Pbft.Pre_prepare { view; seq; digest }) ->
       obs ~kind:"pbft-pre-prepare" ~gid:src.Topology.g ~seq
@@ -261,7 +265,7 @@ let hook t : N.adv_hook =
   match List.filter (fun s -> resolves t (A.target_of s) src) t.active with
   | [] -> None
   | acts ->
-      Hashtbl.replace t.seen (Topology.addr_to_string src) ();
+      Hashtbl.replace t.seen src ();
       (* First active strategy that claims the message wins; the rest
          see nothing (strategies do not stack on one message). *)
       let rec apply = function

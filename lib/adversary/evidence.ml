@@ -37,7 +37,7 @@ let signer_key ~master signer = Hmac.mac ~key:master ("node:" ^ signer)
    may contain any character, so field concatenation must be
    unambiguous. *)
 let canonical ~signer ~kind ~gid ~seq ~slot ~claim =
-  let field s = Printf.sprintf "%d:%s" (String.length s) s in
+  let field s = string_of_int (String.length s) ^ ":" ^ s in
   String.concat ""
     [
       field signer;

@@ -63,7 +63,7 @@ let create (cfg : config) cb =
     cb;
     n = cfg.n;
     f;
-    quorum = (2 * f) + 1;
+    quorum = Massbft_util.Intmath.pbft_quorum cfg.n;
     cur_view = 0;
     in_view_change = false;
     slots = Hashtbl.create 64;
@@ -274,7 +274,7 @@ let resize t ~n =
   if n < 1 then invalid_arg "Pbft.resize: empty group";
   t.n <- n;
   t.f <- Massbft_util.Intmath.pbft_f n;
-  t.quorum <- (2 * t.f) + 1
+  t.quorum <- Massbft_util.Intmath.pbft_quorum n
 
 let size t = t.n
 

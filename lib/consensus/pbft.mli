@@ -18,7 +18,8 @@
     plays this role; signature CPU costs are charged by the engine's
     cost model). Byzantine *content* faults are tolerated by quorum
     counting; a replica accepts only the first pre-prepare per (view,
-    seq) and needs 2f + 1 matching votes to decide. *)
+    seq) and needs {!Massbft_util.Intmath.pbft_quorum} matching votes to
+    decide — ⌈(n + f + 1) / 2⌉, which is 2f + 1 when n = 3f + 1. *)
 
 type msg =
   | Pre_prepare of { view : int; seq : int; digest : string }
@@ -33,7 +34,9 @@ type certificate = {
   cert_seq : int;
   cert_digest : string;
   cert_view : int;
-  cert_signers : int list;  (** the 2f+1 replicas whose commits decided *)
+  cert_signers : int list;
+      (** the {!Massbft_util.Intmath.pbft_quorum} replicas whose commits
+          decided *)
 }
 
 type config = {

@@ -17,9 +17,12 @@
     ordering through {!Orderer}); and Aria execution over the real
     workloads, with conflicted transactions re-queued by their proposer.
 
-    Faults: Byzantine chunk tampering (colluding nodes per §VI-E) and
-    whole-group crashes with Raft leader takeover and frozen-clock
-    timestamp assignment (§V-C).
+    Faults: the engine tolerates Byzantine chunk tampering (colluding
+    nodes per §VI-E, rejected by bucket classification and blacklisting)
+    and whole-group crashes with Raft leader takeover and frozen-clock
+    timestamp assignment (§V-C). It injects neither: tampering is an
+    adversary strategy ({!set_adversary}) and crashes come through
+    {!crash_group} / {!crash_node}, both armed from a scenario.
 
     Fidelity notes (see DESIGN.md): entry payloads inside the simulator
     are virtual (sizes + digests; the byte-level chunker/rebuild pipeline
@@ -110,8 +113,8 @@ val recover_group : t -> int -> unit
     traffic; used by recovery experiments). *)
 
 val crash_group : t -> int -> unit
-(** Crash every node of the group now (the programmatic form of
-    [Config.crash_group_at]; the takeover machinery is identical). *)
+(** Crash every node of the group now (what a scenario's
+    [crash-group] applies). *)
 
 val crash_node : t -> Massbft_sim.Topology.addr -> unit
 (** Crash a single node. Crashing a group's acting leader arms the

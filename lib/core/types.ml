@@ -30,8 +30,7 @@ let digest_bytes = 32
 let header_bytes = 48
 
 let certificate_bytes ~n =
-  let f = Massbft_util.Intmath.pbft_f n in
-  let quorum = (2 * f) + 1 in
+  let quorum = Massbft_util.Intmath.pbft_quorum n in
   (quorum * (signature_bytes + 4)) + digest_bytes + header_bytes
 
 let vote_bytes = digest_bytes + signature_bytes + header_bytes

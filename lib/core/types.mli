@@ -20,7 +20,8 @@ val digest_bytes : int
 val header_bytes : int
 
 val certificate_bytes : n:int -> int
-(** A PBFT certificate carries 2f+1 signatures plus signer ids. *)
+(** A PBFT certificate carries a quorum ({!Massbft_util.Intmath.pbft_quorum})
+    of signatures plus signer ids. *)
 
 val vote_bytes : int
 (** A prepare/commit/accept vote: digest + signature + header. *)

@@ -19,13 +19,16 @@ type t = {
   reconfig : Reconfig.t;
 }
 
+let effective_domains ~domains (spec : Topology.spec) =
+  min domains (Array.length spec.Topology.group_sizes)
+
 let create ?trace ?registry ?(domains = 1) ~(spec : Topology.spec)
     ~(cfg : Config.t) scenario =
   (* Each run allocates a full cluster; compact between runs so long
      sweeps and campaigns stay within memory. *)
   Gc.compact ();
   let reject what = invalid_arg ("Deployment.create: " ^ what) in
-  let domains = min domains (Array.length spec.Topology.group_sizes) in
+  let domains = effective_domains ~domains spec in
   let parallel = domains > 1 in
   if parallel then begin
     if trace <> None then reject "tracing requires domains = 1";

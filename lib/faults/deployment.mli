@@ -16,12 +16,17 @@ type t = {
   topo : Massbft_sim.Topology.t;
   engine : Massbft.Engine.t;
   spec : Massbft_sim.Topology.spec;  (** the provisioned spec *)
-  domains : int;  (** clamped to the cluster's group count *)
+  domains : int;  (** {!effective_domains} *)
   injector : Injector.t;
   adversary : Massbft_adversary.Adversary.t option;
       (** [None] without attacks *)
   reconfig : Massbft_reconfig.Reconfig.t;
 }
+
+val effective_domains : domains:int -> Massbft_sim.Topology.spec -> int
+(** The domain count {!create} runs [spec] with: [domains] clamped to
+    the cluster's group count (one scheduler shard per group). A run is
+    parallel when this exceeds 1. *)
 
 val create :
   ?trace:Massbft_trace.Trace.t ->

@@ -413,21 +413,26 @@ let fig15 ?(quick = false) () =
   let cfg =
     {
       (base_cfg ~quick ~system:Config.Massbft ~workload:W.Ycsb_a ()) with
-      Config.byzantine_per_group = 2;
-      byzantine_from_s = byz_at;
-      crash_group_at = Some (0, crash_at);
-      election_timeout_s = 1.5;
+      Config.election_timeout_s = 1.5;
     }
   in
-  let sim = Massbft_sim.Sim.create () in
-  let topo = Topology.create sim (Clusters.nationwide ()) in
-  let eng = Massbft.Engine.create sim topo cfg in
-  Massbft.Engine.start eng;
-  Massbft.Engine.set_measure_from eng 0.0;
-  Massbft_sim.Sim.run sim ~until;
-  let m = Massbft.Engine.metrics eng in
-  let rates = Massbft_util.Stats.Timeseries.rate_series m.Massbft.Metrics.txn_rate in
-  let lats = Massbft_util.Stats.Timeseries.mean_series m.Massbft.Metrics.latency_ts in
+  let spec = Clusters.nationwide () in
+  (* The f highest slots of every group collude from [byz_at] to the end
+     of the run; group 0 crashes at [crash_at]. *)
+  let scenario =
+    let module S = Massbft_scenario.Scenario in
+    let tamper g =
+      let n = spec.Topology.group_sizes.(g) in
+      List.init (Massbft_util.Intmath.pbft_f n) (fun k ->
+          let target = S.Node { Topology.g; n = n - 1 - k } in
+          { S.at = byz_at; action = S.Attack (S.Tamper { target; for_s = until }) })
+    in
+    List.concat
+      (List.init (Array.length spec.Topology.group_sizes) tamper)
+    @ [ { S.at = crash_at; action = S.Fault (S.Crash_group 0) } ]
+  in
+  let r = Runner.run ~warmup:0.0 ~duration:until ~scenario ~spec ~cfg () in
+  let rates = r.Runner.rate_series and lats = r.Runner.latency_series in
   let lat_at t =
     match List.assoc_opt t lats with Some v -> v *. 1000.0 | None -> 0.0
   in

@@ -299,24 +299,34 @@ let fire s e =
 
 (* Pop and fire the globally minimal (time, seq) event across shards —
    exactly the order the historical single-heap scheduler dispatched,
-   since sequential-mode seqs come from one coordinator counter. *)
+   since sequential-mode seqs come from one coordinator counter. This
+   runs once per dispatched event, so the scan keeps an index rather
+   than allocating an option per shard. *)
 let seq_step coord ~until =
-  let best = ref None in
-  Array.iter
-    (fun s ->
-      match Heap.peek s.queue with
-      | None -> ()
-      | Some e -> (
-          match !best with
-          | Some (_, be) when compare_event be e <= 0 -> ()
-          | _ -> best := Some (s, e)))
-    coord.shards;
-  match !best with
-  | Some (s, e) when e.time <= until ->
-      ignore (Heap.pop s.queue);
-      fire s e;
-      true
-  | _ -> false
+  let shards = coord.shards in
+  let best = ref (-1) and best_time = ref infinity and best_seq = ref 0 in
+  for i = 0 to Array.length shards - 1 do
+    let q = shards.(i).queue in
+    if not (Heap.is_empty q) then begin
+      let e = Heap.peek_exn q in
+      (* [compare_event e best < 0], on the cached key *)
+      if
+        !best < 0
+        || e.time < !best_time
+        || (e.time = !best_time && e.seq < !best_seq)
+      then begin
+        best := i;
+        best_time := e.time;
+        best_seq := e.seq
+      end
+    end
+  done;
+  if !best < 0 || !best_time > until then false
+  else begin
+    let s = shards.(!best) in
+    fire s (Heap.pop_exn s.queue);
+    true
+  end
 
 let advance_clocks coord until =
   if coord.gclock < until then coord.gclock <- until;
@@ -327,13 +337,10 @@ let advance_clocks coord until =
 let run_plain coord ~until =
   if Array.length coord.shards = 1 then begin
     let s = coord.shards.(0) in
-    let continue = ref true in
-    while !continue do
-      match Heap.peek s.queue with
-      | Some e when e.time <= until ->
-          ignore (Heap.pop s.queue);
-          fire s e
-      | _ -> continue := false
+    while
+      (not (Heap.is_empty s.queue)) && (Heap.peek_exn s.queue).time <= until
+    do
+      fire s (Heap.pop_exn s.queue)
     done
   end
   else while seq_step coord ~until do () done;
@@ -436,13 +443,10 @@ let run_shard_window s ~w_end =
   Fun.protect
     ~finally:(fun () -> Domain.DLS.set current_shard None)
     (fun () ->
-      let continue = ref true in
-      while !continue do
-        match Heap.peek s.queue with
-        | Some e when e.time < w_end ->
-            ignore (Heap.pop s.queue);
-            fire s e
-        | _ -> continue := false
+      while
+        (not (Heap.is_empty s.queue)) && (Heap.peek_exn s.queue).time < w_end
+      do
+        fire s (Heap.pop_exn s.queue)
       done)
 
 let run_parallel t ~domains ~until ?on_window () =

@@ -48,25 +48,23 @@ let push t x =
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let min = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      (* Alias the stale slot to a live element so the GC can reclaim
-         the popped value. *)
-      t.data.(t.size) <- t.data.(0);
-      sift_down t 0
-    end;
-    Some min
-  end
+let peek_exn t =
+  if t.size = 0 then invalid_arg "Heap.peek_exn: empty heap" else t.data.(0)
 
 let pop_exn t =
-  match pop t with
-  | Some x -> x
-  | None -> invalid_arg "Heap.pop_exn: empty heap"
+  if t.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
+  let min = t.data.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.data.(0) <- t.data.(t.size);
+    (* Alias the stale slot to a live element so the GC can reclaim
+       the popped value. *)
+    t.data.(t.size) <- t.data.(0);
+    sift_down t 0
+  end;
+  min
+
+let pop t = if t.size = 0 then None else Some (pop_exn t)
 
 let clear t =
   t.data <- [||];

@@ -14,11 +14,16 @@ val push : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 (** The minimum element, without removing it. *)
 
+val peek_exn : 'a t -> 'a
+(** Like {!peek} but raises [Invalid_argument] on an empty heap; does
+    not allocate. *)
+
 val pop : 'a t -> 'a option
 (** Removes and returns the minimum element. *)
 
 val pop_exn : 'a t -> 'a
-(** Like {!pop} but raises [Invalid_argument] on an empty heap. *)
+(** Like {!pop} but raises [Invalid_argument] on an empty heap; does
+    not allocate. *)
 
 val clear : 'a t -> unit
 

@@ -15,7 +15,7 @@ let pbft_f n =
   if n < 1 then invalid_arg "Intmath.pbft_f: group must be non-empty";
   (n - 1) / 3
 
-let pbft_quorum n = (2 * pbft_f n) + 1
+let pbft_quorum n = (n + pbft_f n + 2) / 2
 
 let raft_f ng =
   if ng < 1 then invalid_arg "Intmath.raft_f: need at least one group";

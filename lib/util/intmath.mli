@@ -18,8 +18,13 @@ val pbft_f : int -> int
     tolerates: [(n - 1) / 3] (Algorithm 1, line 4). *)
 
 val pbft_quorum : int -> int
-(** [pbft_quorum n] is the certificate quorum [2f + 1] for an [n]-node
-    group. *)
+(** [pbft_quorum n] is the certificate quorum [ceil((n + f + 1) / 2)]
+    for an [n]-node group: the smallest size at which any two quorums
+    share at least [f + 1] nodes (so at least one honest one), while
+    the [n - f] honest nodes can still form one on their own. For
+    [n = 3f + 1] it is the familiar [2f + 1]; for the other sizes live
+    reconfiguration creates (5, 6, 8, ...) [2f + 1] does not intersect
+    in an honest node. *)
 
 val raft_f : int -> int
 (** [raft_f ng] is the number of crashed groups tolerated by the global

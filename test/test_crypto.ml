@@ -1,6 +1,5 @@
 (* Tests for the cryptographic substrate: SHA-256 against NIST/FIPS
-   vectors, HMAC against RFC 4231, the simulated-PKI signature scheme,
-   and Merkle trees/proofs. *)
+   vectors, HMAC against RFC 4231, and Merkle trees/proofs. *)
 
 open Massbft_crypto
 module Hexdump = Massbft_util.Hexdump
@@ -123,48 +122,6 @@ let test_hmac_verify () =
   check_bool "rejects wrong key" false (Hmac.verify ~key:"nope" ~msg ~tag);
   check_bool "rejects truncated tag" false
     (Hmac.verify ~key ~msg ~tag:(String.sub tag 0 16))
-
-(* ------------------------------------------------------------------ *)
-(* Signature                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_signature_roundtrip () =
-  let kr = Signature.create_keyring ~seed:1L in
-  Signature.register kr "g0/n0";
-  Signature.register kr "g0/n1";
-  let s = Signature.sign kr ~id:"g0/n0" "hello" in
-  check_bool "own signature verifies" true
-    (Signature.verify kr ~id:"g0/n0" ~msg:"hello" s);
-  check_bool "wrong message rejected" false
-    (Signature.verify kr ~id:"g0/n0" ~msg:"hullo" s);
-  check_bool "wrong identity rejected" false
-    (Signature.verify kr ~id:"g0/n1" ~msg:"hello" s)
-
-let test_signature_unknown_identity () =
-  let kr = Signature.create_keyring ~seed:1L in
-  Alcotest.check_raises "sign as unregistered"
-    (Invalid_argument "Signature.sign: unknown identity ghost") (fun () ->
-      ignore (Signature.sign kr ~id:"ghost" "m"));
-  check_bool "verify for unregistered is false" false
-    (Signature.verify kr ~id:"ghost" ~msg:"m" (Signature.forge "m"))
-
-let test_signature_forgery_rejected () =
-  let kr = Signature.create_keyring ~seed:9L in
-  Signature.register kr "g1/n2";
-  check_bool "forged tag rejected" false
-    (Signature.verify kr ~id:"g1/n2" ~msg:"entry" (Signature.forge "entry"))
-
-let test_signature_deterministic_keyrings () =
-  let a = Signature.create_keyring ~seed:5L in
-  let b = Signature.create_keyring ~seed:5L in
-  Signature.register a "n";
-  Signature.register b "n";
-  check_bool "same seed, same keys" true
-    (Signature.verify b ~id:"n" ~msg:"x" (Signature.sign a ~id:"n" "x"));
-  let c = Signature.create_keyring ~seed:6L in
-  Signature.register c "n";
-  check_bool "different seed, different keys" false
-    (Signature.verify c ~id:"n" ~msg:"x" (Signature.sign a ~id:"n" "x"))
 
 (* ------------------------------------------------------------------ *)
 (* Merkle                                                              *)
@@ -334,7 +291,7 @@ let prop_merkle_all_proofs_verify =
         leaves)
 
 let prop_merkle_cross_tree_rejection =
-  QCheck.Test.make ~name:"proofs do not transfer across distinct trees"
+  QCheck.Test.make ~name:"proofs do not transfer across distinct"
     QCheck.(pair (list_of_size Gen.(int_range 2 20) printable_string) small_nat)
     (fun (leaves, idx) ->
       let t1 = Merkle.build leaves in
@@ -364,13 +321,6 @@ let () =
         [
           Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_rfc4231;
           Alcotest.test_case "verify" `Quick test_hmac_verify;
-        ] );
-      ( "signature",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_signature_roundtrip;
-          Alcotest.test_case "unknown identity" `Quick test_signature_unknown_identity;
-          Alcotest.test_case "forgery rejected" `Quick test_signature_forgery_rejected;
-          Alcotest.test_case "keyring determinism" `Quick test_signature_deterministic_keyrings;
         ] );
       ( "merkle",
         [

@@ -13,6 +13,8 @@ module Types = Massbft.Types
 module Ledger = Massbft_exec.Ledger
 module Stats = Massbft_util.Stats
 module Clusters = Massbft_harness.Clusters
+module Runner = Massbft_harness.Runner
+module Scenario = Massbft_scenario.Scenario
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -38,6 +40,25 @@ let run_engine ?(until = 6.0) ?(cfg = small_cfg ()) ?(spec = small_spec ())
   before_run eng sim topo;
   Sim.run sim ~until;
   (eng, sim, topo)
+
+(* Faults and attacks enter a run only through a scenario, armed by the
+   same deployment path as [massbft run --scenario]. *)
+let run_scenario ?(until = 6.0) ?(cfg = small_cfg ()) ?(spec = small_spec ())
+    text =
+  let eng = ref None in
+  ignore
+    (Runner.run ~warmup:0.0 ~duration:until
+       ~scenario:(Scenario.of_string text)
+       ~on_engine:(fun e _ _ -> eng := Some e)
+       ~spec ~cfg ());
+  Option.get !eng
+
+(* One colluding tamperer per 4-node group (f = 1): the highest slot of
+   each of the three groups. *)
+let colluders ~at ~for_s =
+  String.concat ""
+    (List.init 3 (fun g ->
+         Printf.sprintf "@%g tamper node:g%d/n3 for %g\n" at g for_s))
 
 let committed eng =
   Stats.Counter.get (Engine.metrics eng).Metrics.committed_txns
@@ -205,12 +226,8 @@ let test_wan_traffic_advantage () =
 let test_byzantine_chunk_tampering_tolerated () =
   (* One colluding Byzantine node per 4-node group (f = 1) tampers with
      every chunk it sends or forwards; throughput must survive. *)
-  let clean_cfg = small_cfg () in
-  let byz_cfg =
-    { clean_cfg with Config.byzantine_per_group = 1; byzantine_from_s = 0.0 }
-  in
-  let clean, _, _ = run_engine ~until:8.0 ~cfg:clean_cfg () in
-  let byz, _, _ = run_engine ~until:8.0 ~cfg:byz_cfg () in
+  let clean = run_scenario ~until:8.0 "" in
+  let byz = run_scenario ~until:8.0 (colluders ~at:0.0 ~for_s:8.0) in
   let c = committed clean and b = committed byz in
   check_bool (Printf.sprintf "byzantine run commits (%d vs clean %d)" b c) true
     (b > (c * 6 / 10));
@@ -222,10 +239,7 @@ let test_byzantine_chunk_tampering_tolerated () =
 let test_byzantine_activation_mid_run () =
   (* Tampering that begins mid-run (the Figure 15 scenario) must not
      stop progress after the activation point. *)
-  let cfg =
-    { (small_cfg ()) with Config.byzantine_per_group = 1; byzantine_from_s = 3.0 }
-  in
-  let eng, _, _ = run_engine ~until:8.0 ~cfg () in
+  let eng = run_scenario ~until:8.0 (colluders ~at:3.0 ~for_s:5.0) in
   let m = Engine.metrics eng in
   let late =
     List.filter (fun (t, r) -> t >= 4.0 && r > 0.0)
@@ -238,14 +252,8 @@ let test_group_crash_massbft_recovers_via_takeover () =
   (* Crash group 0 mid-run: ordering stalls until another group takes
      over instance 0 and assigns frozen timestamps; then throughput from
      groups 1 and 2 resumes (Figure 15). *)
-  let cfg =
-    {
-      (small_cfg ()) with
-      Config.crash_group_at = Some (0, 4.0);
-      election_timeout_s = 0.8;
-    }
-  in
-  let eng, _, _ = run_engine ~until:14.0 ~cfg () in
+  let cfg = { (small_cfg ()) with Config.election_timeout_s = 0.8 } in
+  let eng = run_scenario ~until:14.0 ~cfg "@4 crash-group g0" in
   let m = Engine.metrics eng in
   let series = Stats.Timeseries.rate_series m.Metrics.txn_rate in
   let before = List.filter (fun (t, _) -> t < 4.0) series in
@@ -265,10 +273,10 @@ let test_group_crash_massbft_recovers_via_takeover () =
 let test_group_crash_geobft_stalls () =
   (* GeoBFT has no group fault tolerance: a crashed group halts the
      round-based ordering (Table I's "Group failure: No"). *)
-  let cfg =
-    { (small_cfg ~system:Config.Geobft ()) with Config.crash_group_at = Some (0, 3.0) }
+  let eng =
+    run_scenario ~until:10.0 ~cfg:(small_cfg ~system:Config.Geobft ())
+      "@3 crash-group g0"
   in
-  let eng, _, _ = run_engine ~until:10.0 ~cfg () in
   let m = Engine.metrics eng in
   let late =
     List.filter (fun (t, r) -> t >= 6.0 && r > 1.0)
@@ -279,18 +287,9 @@ let test_group_crash_geobft_stalls () =
 let test_recovery_transfer_back () =
   (* Crash group 0, recover it later: the cluster keeps making progress
      after recovery and group 0 eventually proposes again. *)
-  let cfg =
-    {
-      (small_cfg ()) with
-      Config.crash_group_at = Some (0, 3.0);
-      election_timeout_s = 0.6;
-    }
-  in
-  let eng, _, _ =
-    run_engine ~until:18.0 ~cfg
-      ~before_run:(fun eng sim _ ->
-        ignore (Sim.at sim 7.0 (fun () -> Engine.recover_group eng 0)))
-      ()
+  let cfg = { (small_cfg ()) with Config.election_timeout_s = 0.6 } in
+  let eng =
+    run_scenario ~until:18.0 ~cfg "@3 crash-group g0\n@7 recover-group g0"
   in
   let m = Engine.metrics eng in
   let late =
@@ -474,13 +473,13 @@ let test_crash_with_lost_content_unwedges () =
     {
       (small_cfg ()) with
       Config.max_batch = 200;
-      byzantine_per_group = 1;
-      byzantine_from_s = 1.0;
-      crash_group_at = Some (0, 4.0);
       election_timeout_s = 0.8;
     }
   in
-  let eng, _, _ = run_engine ~until:16.0 ~cfg () in
+  let eng =
+    run_scenario ~until:16.0 ~cfg
+      (colluders ~at:1.0 ~for_s:15.0 ^ "@4 crash-group g0")
+  in
   let m = Engine.metrics eng in
   let late =
     List.filter (fun (t, r) -> t >= 12.0 && r > 0.0)

@@ -17,6 +17,8 @@ module S = Massbft_scenario.Scenario
 module Injector = Massbft_faults.Injector
 module Invariants = Massbft_faults.Invariants
 module Chaos = Massbft_faults.Chaos
+module Deployment = Massbft_faults.Deployment
+module Adversary = Massbft_adversary.Adversary
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -277,36 +279,39 @@ let test_drill_recovery_and_tamper_safety () =
      replica_prefix / cross_chain / exec_determinism), and throughput
      well after the restore recovers to >= 80% of the pre-crash rate. *)
   let crash_at = 4.0 and recover_at = 6.0 and until = 18.0 in
-  let cfg =
-    {
-      (small_cfg ())
-      with
-      Config.byzantine_per_group = 1;
-      byzantine_from_s = 1.0;
-    }
-  in
-  let spec = small_spec () in
+  (* One tamperer per 4-node group (f = 1), active to the end of the
+     run. The deployment is built here rather than through
+     Chaos.run_schedule so the checkers treat every replica as honest
+     (tampered chunks must never reach any ledger) and the liveness
+     watchdog starts at the restore, not when the attack window
+     closes. *)
   let schedule =
     S.of_string
-      (Printf.sprintf "@%g crash-group g0\n@%g recover-group g0\n" crash_at
-         recover_at)
+      (String.concat ""
+         (List.init 3 (fun g ->
+              Printf.sprintf "@1 tamper node:g%d/n3 for %g\n" g (until -. 1.0)))
+      ^ Printf.sprintf "@%g crash-group g0\n@%g recover-group g0\n" crash_at
+          recover_at)
   in
-  let sim = Sim.create () in
-  let topo = Topology.create sim spec in
-  let engine = Engine.create sim topo cfg in
-  let inj = Injector.create ~spec ~scenario:schedule engine sim topo in
-  let inv =
-    Invariants.create ~heal_by:(S.heal_time schedule) engine sim
+  let d =
+    Deployment.create ~spec:(small_spec ()) ~cfg:(small_cfg ()) schedule
   in
+  let engine = d.Deployment.engine and sim = d.Deployment.sim in
+  let inv = Invariants.create ~heal_by:recover_at engine sim in
   Engine.start engine;
-  Injector.arm inj;
+  Deployment.arm d;
   Invariants.attach inv;
   Sim.run sim ~until;
   Invariants.finalize inv;
   List.iter
     (fun v -> Alcotest.fail (Invariants.violation_to_string v))
     (Invariants.violations inv);
-  check_int "both events injected" 2 (Injector.injected_total inj);
+  check_int "both events injected" 2
+    (Injector.injected_total d.Deployment.injector);
+  check_bool "chunks were tampered" true
+    (match d.Deployment.adversary with
+    | Some a -> Adversary.injected_total a > 0
+    | None -> false);
   let series =
     Stats.Timeseries.rate_series (Engine.metrics engine).Metrics.txn_rate
   in

@@ -7,7 +7,8 @@
    join's state-transfer receipt, the mid-transfer-crash drill (a
    deliberately intolerable fault set is detected and ddmin-shrinks to
    its culprit while the membership change — the scenario's identity —
-   stays fixed), and the CLI: exit-2 one-line diagnostics for malformed
+   stays fixed), the mixed-axis EBR join under equivocation (the PBFT
+   quorum regression at n = 8), and the CLI: exit-2 one-line diagnostics for malformed
    scenario files, and replay of a mixed scenario that crashes and
    attacks a joining slot. *)
 
@@ -403,6 +404,31 @@ let test_mid_transfer_crash_shrinks () =
     (S.to_string culprit)
     (S.to_string shrunk)
 
+(* `massbft drill --seed 1 --system ebr --quick --reconfig node-join
+   --adversary equivocate`. After the join g2 has n = 8 and f = 2; with
+   a 2f + 1 = 5 quorum the equivocating leader plus the four
+   odd-numbered replicas decided a forged digest whose content exists
+   nowhere, and EBR stopped executing entries. ⌈(n + f + 1)/2⌉ = 6
+   needs an honest node to vouch for the digest. *)
+let test_ebr_join_under_equivocation () =
+  let cfg =
+    { (Config.default ~system:Config.Ebr ()) with Config.workload_scale = 0.01 }
+  in
+  let spec = Clusters.nationwide ~nodes_per_group:7 ~groups:3 () in
+  let r =
+    Chaos.drill ~duration:8.0 ~shrink_failures:false ~adversary:"equivocate"
+      ~reconfig:"node-join" ~spec ~cfg ~seed:1L ()
+  in
+  let o = r.Chaos.outcome in
+  check_string "the drilled scenario"
+    "@2.265 add-node g2\n@2.382 equivocate leader:g2 for 1.715\n"
+    (S.to_string o.Chaos.scenario);
+  check_bool "the leader equivocated" true (o.Chaos.adv_injected > 0);
+  check_int "the join's epoch executed" 1 o.Chaos.epochs;
+  List.iter
+    (fun v -> Alcotest.fail (Massbft_faults.Invariants.violation_to_string v))
+    o.Chaos.violations
+
 (* ------------------------------------------------------------------ *)
 (* CLI diagnostics                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -538,6 +564,8 @@ let () =
         [
           Alcotest.test_case "mid-transfer crash: detect and shrink" `Slow
             test_mid_transfer_crash_shrinks;
+          Alcotest.test_case "mixed-axis EBR join under equivocation" `Slow
+            test_ebr_join_under_equivocation;
         ] );
       ( "cli",
         [

@@ -34,6 +34,17 @@ let test_quorums () =
   check_int "f(40)" 13 (Intmath.pbft_f 40);
   check_int "quorum(4)" 3 (Intmath.pbft_quorum 4);
   check_int "quorum(7)" 5 (Intmath.pbft_quorum 7);
+  (* Sizes live reconfiguration creates: 2f + 1 would be 3 and 5. *)
+  check_int "quorum(5)" 4 (Intmath.pbft_quorum 5);
+  check_int "quorum(8)" 6 (Intmath.pbft_quorum 8);
+  for n = 1 to 100 do
+    let f = Intmath.pbft_f n and q = Intmath.pbft_quorum n in
+    (* Two quorums overlap in >= f + 1 nodes, so in an honest one ... *)
+    check_bool (Printf.sprintf "intersection n=%d" n) true (2 * q - n >= f + 1);
+    (* ... and the honest nodes alone still form a quorum. *)
+    check_bool (Printf.sprintf "availability n=%d" n) true (q <= n - f);
+    if n mod 3 = 1 then check_int (Printf.sprintf "2f+1 at n=%d" n) ((2 * f) + 1) q
+  done;
   (* n_g >= 2f_g + 1: the group-level crash bound. *)
   check_int "fg(3)" 1 (Intmath.raft_f 3);
   check_int "fg(7)" 3 (Intmath.raft_f 7);
@@ -223,12 +234,16 @@ let test_heap_empty () =
   check_bool "peek empty" true (Heap.peek h = None);
   Alcotest.check_raises "pop_exn empty"
     (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
+      ignore (Heap.pop_exn h));
+  Alcotest.check_raises "peek_exn empty"
+    (Invalid_argument "Heap.peek_exn: empty heap") (fun () ->
+      ignore (Heap.peek_exn h))
 
 let test_heap_peek_stable () =
   let h = Heap.create ~cmp:compare in
   List.iter (Heap.push h) [ 4; 2; 6 ];
   check_bool "peek min" true (Heap.peek h = Some 2);
+  check_int "peek_exn min" 2 (Heap.peek_exn h);
   check_int "peek does not remove" 3 (Heap.length h)
 
 let test_heap_to_sorted_list () =
