@@ -5,8 +5,10 @@
    2. Macro benchmarks: one full engine run per system on YCSB-A over
       the nationwide cluster, reporting both the simulated-side results
       and the wall-clock cost of producing them.
-   3. (--figures) The figure harness: one experiment per table/figure
-      of the paper's evaluation (see EXPERIMENTS.md).
+   3. The sharded-scheduler scaling table.
+
+   The regression gate is `massbft bench --check FILE`; the figure
+   harness is `massbft figures`.
 
    Flags:
      --quick          fast smoke pass (reduced bechamel quota, short
@@ -14,17 +16,12 @@
                       does the same
      --json [FILE]    write the micro+macro baseline to FILE (default
                       BENCH_<date>.json) in the Bench_report schema
-     --check FILE     compare this run's micro results against the
-                      baseline FILE and exit non-zero on regressions
-     --tolerance PCT  per-benchmark tolerance for --check (default 25)
      --prof FILE      self-profile the MassBFT macro row and write the
                       profiler's JSON report to FILE; the row's
-                      host_phases breakdown lands in --json output too
-     --figures        also run the figure harness *)
+                      host_phases breakdown lands in --json output too *)
 
 module Config = Massbft.Config
 module Bench_report = Massbft_harness.Bench_report
-module Bench_check = Massbft_harness.Bench_check
 module Prof = Massbft_prof.Prof
 module Prof_export = Massbft_prof.Prof_export
 
@@ -89,22 +86,6 @@ let run_scaling ~quick () =
   print_newline ();
   rows
 
-(* ------------------------------------------------------------------ *)
-(* Figure harness                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let run_figures ~quick =
-  Printf.printf "=== figure harness (%s mode) ===\n\n"
-    (if quick then "quick" else "full");
-  List.iter
-    (fun (id, _, (f : ?quick:bool -> unit -> Massbft_harness.Figures.figure)) ->
-      let t0 = Unix.gettimeofday () in
-      let fig = f ~quick () in
-      Format.printf "%a" Massbft_harness.Figures.pp_figure fig;
-      Format.printf "[%s took %.1fs wall-clock]@.@." id
-        (Unix.gettimeofday () -. t0))
-    Massbft_harness.Figures.all
-
 let () =
   let argv = Array.to_list Sys.argv in
   let quick =
@@ -114,7 +95,6 @@ let () =
     | Some ("1" | "true" | "yes") -> true
     | _ -> false
   in
-  let figures = List.mem "--figures" argv in
   let flag_value name =
     let rec find = function
       | flag :: next :: _
@@ -136,25 +116,6 @@ let () =
             (Printf.sprintf "BENCH_%04d-%02d-%02d.json" (tm.Unix.tm_year + 1900)
                (tm.Unix.tm_mon + 1) tm.Unix.tm_mday)
   in
-  let check_file =
-    if not (List.mem "--check" argv) then None
-    else
-      match flag_value "--check" with
-      | Some f -> Some f
-      | None ->
-          prerr_endline "bench: --check requires a baseline file";
-          exit 2
-  in
-  let tolerance =
-    match flag_value "--tolerance" with
-    | None -> Bench_check.default_tolerance
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some pct when pct > 0.0 -> pct /. 100.0
-        | _ ->
-            prerr_endline "bench: --tolerance expects a positive percentage";
-            exit 2)
-  in
   let prof_file = flag_value "--prof" in
   (* The scaling table runs first: its rows compare drivers against
      each other, and measuring them from the pristine process keeps
@@ -163,7 +124,7 @@ let () =
   let scaling = run_scaling ~quick () in
   let micros = Massbft_bench.Micros.run_micro ~quick () in
   let macros = run_macros ~quick ~prof_file () in
-  (match json_file with
+  match json_file with
   | None -> ()
   | Some file ->
       let tm = Unix.localtime (Unix.time ()) in
@@ -179,17 +140,4 @@ let () =
       let oc = open_out file in
       output_string oc doc;
       close_out oc;
-      Printf.printf "wrote %s\n" file);
-  if figures then run_figures ~quick;
-  match check_file with
-  | None -> ()
-  | Some file ->
-      let baseline = Bench_check.load_baseline file in
-      let current =
-        List.map
-          (fun m -> (m.Bench_report.m_name, m.Bench_report.ns_per_run))
-          micros
-      in
-      let result = Bench_check.compare_micros ~tolerance ~baseline ~current () in
-      print_string (Bench_check.render ~baseline result);
-      if not (Bench_check.passed result) then exit 1
+      Printf.printf "wrote %s\n" file

@@ -344,7 +344,9 @@ let drill_cmd =
                  conflicting-signed-message evidence pair.")
   in
   let reconfigs =
-    let kinds = names_conv ~what:"reconfiguration kind" Chaos.reconfig_kinds in
+    let kinds =
+      names_conv ~what:"reconfiguration kind" (List.map fst Chaos.memberships)
+    in
     Arg.(value & opt (some kinds) None & info [ "reconfig" ]
            ~docv:"KIND[,KIND...]"
            ~doc:"Drill live membership reconfiguration: each kind becomes a \
@@ -386,14 +388,14 @@ let drill_cmd =
   in
   let trace_file =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Record a structured trace of the (single-seed) drill and \
-                 write Chrome trace_event JSON to $(docv); fault injections \
+           ~doc:"Record a structured trace of the drilled runs and write \
+                 Chrome trace_event JSON to $(docv); fault injections \
                  appear as 'fault'-category spans.")
   in
   let action system all_systems nodes groups worldwide scale seed seeds
-      adversaries reconfigs duration quick no_shrink artifacts trace_file
+      adversaries reconfigs duration_arg quick no_shrink artifacts trace_file
       domains =
-    let duration = if quick then 8.0 else duration in
+    let duration = if quick then 8.0 else duration_arg in
     let cfg =
       { (Config.default ~system ()) with Config.workload_scale = scale }
     in
@@ -401,26 +403,54 @@ let drill_cmd =
       if worldwide then Clusters.worldwide ~nodes_per_group:nodes ()
       else Clusters.nationwide ~nodes_per_group:nodes ~groups ()
     in
-    (* An adversary run is bad only when a violation lacks a verified
-       evidence pair: a caught-and-provable equivocation is the
-       accountability machinery succeeding, a silent or unprovable one
-       is a real bug. Plain fault runs keep the strict criterion. *)
-    let bad (r : Chaos.drill_result) =
-      Chaos.failed r.Chaos.outcome
-      && (r.Chaos.strategy = None
-         || not (Chaos.accountable r.Chaos.outcome))
+    (* The campaign axes: one recipe per strategy x membership kind. *)
+    let axis = function None -> [ None ] | Some l -> List.map Option.some l in
+    let recipes =
+      List.concat_map
+        (fun attack ->
+          List.map
+            (fun kind ->
+              {
+                Chaos.attack;
+                membership =
+                  Option.map (fun k -> List.assoc k Chaos.memberships) kind;
+              })
+            (axis reconfigs))
+        (axis adversaries)
     in
-    let artifact_stem (r : Chaos.drill_result) =
-      Printf.sprintf "fail-%s%s%s-seed%Ld"
-        (String.lowercase_ascii (Config.system_name r.Chaos.system))
-        (match r.Chaos.strategy with None -> "" | Some s -> "-" ^ s)
-        (match r.Chaos.reconfig_kind with None -> "" | Some k -> "-" ^ k)
-        r.Chaos.seed
+    let name (r : Chaos.drill_result) =
+      String.lowercase_ascii (Config.system_name r.Chaos.system)
+    and attack (r : Chaos.drill_result) = r.Chaos.recipe.Chaos.attack
+    and kind (r : Chaos.drill_result) =
+      Option.map Chaos.membership_name r.Chaos.recipe.Chaos.membership
     in
-    let repro (r : Chaos.drill_result) =
-      Chaos.repro_line ?adversary:r.Chaos.strategy
-        ?reconfig:r.Chaos.reconfig_kind ~domains ~seed:r.Chaos.seed
-        ~system:r.Chaos.system ()
+    let artifact_stem r =
+      let dash = Option.fold ~none:"" ~some:(( ^ ) "-") in
+      Printf.sprintf "fail-%s%s%s-seed%Ld" (name r) (dash (attack r))
+        (dash (kind r)) r.Chaos.seed
+    in
+    (* Every argument that shapes the scenario or the run, so the line
+       regenerates the same scenario and replays the same run. *)
+    let repro r =
+      (* The shortest decimal that parses back to the same float. *)
+      let float_arg f =
+        let rec go digits =
+          let s = Printf.sprintf "%.*g" digits f in
+          if digits >= 17 || float_of_string s = f then s else go (digits + 1)
+        in
+        go 1
+      in
+      let opt flag = Option.fold ~none:"" ~some:(Printf.sprintf " %s %s" flag) in
+      Printf.sprintf
+        "massbft drill --seed %Ld --system %s --domains %d --nodes %d%s \
+         --scale %s%s%s%s"
+        r.Chaos.seed (name r) domains nodes
+        (if worldwide then " --worldwide"
+         else Printf.sprintf " --groups %d" groups)
+        (float_arg scale)
+        (if quick then " --quick" else " --duration " ^ float_arg duration_arg)
+        (opt "--reconfig" (kind r))
+        (opt "--adversary" (attack r))
     in
     (* The scenario replays through `run --scenario`; the repro line,
        the violations and the shrunk events ride along as comments. *)
@@ -491,71 +521,40 @@ let drill_cmd =
         save_artifact r
       end
     in
-    let failures =
+    let seed_list =
       match seeds with
-      | Some (lo, hi) ->
-          let seeds =
-            List.init (hi - lo + 1) (fun i -> Int64.of_int (lo + i))
-          in
-          let systems = if all_systems then Config.all_systems else [ system ] in
-          let c =
-            Chaos.campaign ~duration ~shrink_failures:(not no_shrink) ~systems
-              ~adversaries:(Option.value ~default:[] adversaries)
-              ~reconfigs:(Option.value ~default:[] reconfigs)
-              ~on_run:report ~domains ~spec ~cfg ~seeds ()
-          in
-          let hard = List.filter bad c.Chaos.results in
-          Format.printf "campaign: %d runs, %d failed%s@." c.Chaos.total
-            (List.length hard)
-            (let accounted =
-               List.length c.Chaos.failures - List.length hard
-             in
-             if accounted > 0 then
-               Printf.sprintf " (+%d accountable, evidence on file)" accounted
-             else "");
-          List.length hard
-      | None ->
-          let systems = if all_systems then Config.all_systems else [ system ] in
-          let axis =
-            match adversaries with
-            | None -> [ None ]
-            | Some l -> List.map Option.some l
-          in
-          let rec_axis =
-            match reconfigs with
-            | None -> [ None ]
-            | Some l -> List.map Option.some l
-          in
-          let sink = Option.map (fun _ -> Trace.create ()) trace_file in
-          let results =
-            List.concat_map
-              (fun system ->
-                List.concat_map
-                  (fun adversary ->
-                    List.map
-                      (fun reconfig ->
-                        let r =
-                          Chaos.drill ~duration
-                            ~shrink_failures:(not no_shrink) ?trace:sink
-                            ?adversary ?reconfig ~domains ~spec
-                            ~cfg:{ cfg with Config.system }
-                            ~seed:(Int64.of_int seed) ()
-                        in
-                        report r;
-                        r)
-                      rec_axis)
-                  axis)
-              systems
-          in
-          (match (trace_file, sink) with
-          | Some file, Some tr ->
-              Trace_export.write_chrome_json tr file;
-              Format.printf "trace: wrote %s (%d events retained, %d dropped)@."
-                file (Trace.length tr) (Trace.dropped tr)
-          | _ -> ());
-          List.length (List.filter bad results)
+      | Some (lo, hi) -> List.init (hi - lo + 1) (fun i -> Int64.of_int (lo + i))
+      | None -> [ Int64.of_int seed ]
     in
-    if failures > 0 then exit 1
+    let sink = Option.map (fun _ -> Trace.create ()) trace_file in
+    let c =
+      Chaos.campaign ~duration ?trace:sink ~shrink_failures:(not no_shrink)
+        ~systems:(if all_systems then Config.all_systems else [ system ])
+        ~recipes ~on_run:report ~domains ~spec ~cfg ~seeds:seed_list ()
+    in
+    (* A run is bad only when a violation lacks a verified evidence
+       pair: a caught-and-provable equivocation is the accountability
+       machinery succeeding, a silent or unprovable one is a real bug.
+       Without an adversary every violation is unaccountable. *)
+    let hard =
+      List.filter
+        (fun (r : Chaos.drill_result) -> not (Chaos.accountable r.Chaos.outcome))
+        c.Chaos.results
+    in
+    if seeds <> None then
+      Format.printf "campaign: %d runs, %d failed%s@." c.Chaos.total
+        (List.length hard)
+        (let accounted = List.length c.Chaos.failures - List.length hard in
+         if accounted > 0 then
+           Printf.sprintf " (+%d accountable, evidence on file)" accounted
+         else "");
+    (match (trace_file, sink) with
+    | Some file, Some tr ->
+        Trace_export.write_chrome_json tr file;
+        Format.printf "trace: wrote %s (%d events retained, %d dropped)@." file
+          (Trace.length tr) (Trace.dropped tr)
+    | _ -> ());
+    if hard <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "drill"

@@ -136,6 +136,7 @@ let create sim topo cfg =
           l_waiting_content = Entry_tbl.create 64;
           l_committed_unexec = Entry_tbl.create 64;
           l_round_ready = Entry_tbl.create 64;
+          l_log_committed = Entry_tbl.create 64;
           l_next_round = 1;
           l_recv_notes = Entry_tbl.create 64;
           l_steward_proposed = Entry_tbl.create 64;

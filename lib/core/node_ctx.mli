@@ -114,6 +114,7 @@ type leader = {
   l_waiting_content : (unit -> unit) list ref Entry_tbl.t;
   l_committed_unexec : unit Entry_tbl.t;
   l_round_ready : unit Entry_tbl.t;
+  l_log_committed : unit Entry_tbl.t;
   mutable l_next_round : int;
   l_recv_notes : int ref Entry_tbl.t;
   l_steward_proposed : unit Entry_tbl.t;

@@ -7,8 +7,8 @@
    - [epoch_rounds k]: rounds plus ISS's epoch-boundary gate — a
      proposal in epoch e waits for every round of the preceding epochs
      to have executed locally.
-   - [global_log]: Steward — the single Raft log's commit order IS the
-     execution order.
+   - [global_log]: Steward — the single Raft log's first-commit order
+     IS the execution order.
    - [async_vts]: MassBFT's asynchronous vector-timestamp ordering
      (Algorithm 2); the Orderer consumes Ts records from the
      global-consensus stage, so commits trigger nothing here. *)
@@ -168,7 +168,15 @@ let epoch_rounds k =
 let global_log =
   {
     o_allows = (fun _ _ _ -> true);
-    o_on_commit = Execution.enqueue;
+    o_on_commit =
+      (fun t l eid ->
+        (* First commit wins: a recovered proposer re-proposes in-flight
+           entries that had in fact already committed, and the single
+           log then commits them a second time. *)
+        if not (Entry_tbl.mem l.l_log_committed eid) then begin
+          Entry_tbl.replace l.l_log_committed eid ();
+          Execution.enqueue t l eid
+        end);
     o_vts = false;
     o_rounds = false;
   }

@@ -1,19 +1,11 @@
-(* The seeded chaos fuzzer: generate a random-but-valid fault schedule
-   from an explicit Rng, run it against a deployment with the invariant
-   checkers attached, and — when a schedule kills an invariant — shrink
-   it by delta-debugging bisection to a minimal reproducer.
-
-   The generator is system-aware. Group crashes, WAN message drops and
-   partitions are only drawn for systems whose global phase can repair
-   arbitrary loss (per-group Raft: anti-entropy re-ships, takeover +
-   transfer-back per §V-C). GeoBFT has no global retransmission by
-   design (Table I: it cannot survive a group crash), and Steward's
-   single log stalls with its proposer, so for those systems the
-   generator sticks to recoverable faults: delays, duplication,
-   degradations, gray CPUs, and follower crashes. It also never crashes
-   more than f nodes of any group, and never leaves a fault unhealed —
-   so every generated schedule is one the system under test claims to
-   tolerate, and any invariant violation is a real bug. *)
+(* The seeded chaos fuzzer: generate a random-but-valid scenario from
+   an explicit Rng and a recipe, run it against a deployment with the
+   invariant checkers attached, and — when a scenario kills an
+   invariant — shrink it by delta-debugging bisection to a minimal
+   reproducer. A generated scenario never crashes more than f nodes of
+   any group and never leaves a fault unhealed, so it is one the system
+   under test claims to tolerate, and any invariant violation is a real
+   bug. *)
 
 module Sim = Massbft_sim.Sim
 module Topology = Massbft_sim.Topology
@@ -29,26 +21,58 @@ module Evidence = Massbft_adversary.Evidence
 module Reconfig = Massbft_reconfig.Reconfig
 
 (* ------------------------------------------------------------------ *)
-(* Schedule generation                                                 *)
+(* Scenario generation                                                 *)
 (* ------------------------------------------------------------------ *)
+
+type membership = Node_join | Node_leave | Leader_move | Group_add | Group_remove
+
+let memberships =
+  [
+    ("node-join", Node_join);
+    ("node-leave", Node_leave);
+    ("leader-move", Leader_move);
+    ("group-add", Group_add);
+    ("group-remove", Group_remove);
+  ]
+
+let membership_name m = fst (List.find (fun (_, m') -> m' = m) memberships)
+
+type recipe = { attack : string option; membership : membership option }
+
+let benign = { attack = None; membership = None }
+
+(* What every vocabulary draws from: the seeded stream, the cluster
+   shape and the run length. *)
+type ctx = { rng : Rng.t; gs : int array; ng : int; duration : float }
 
 (* Millisecond quantization keeps the text form round-trippable. *)
 let q t = Float.round (t *. 1000.0) /. 1000.0
 
+let within d lo hi = q (lo +. Rng.float d.rng (hi -. lo))
+
+(* Faults and attacks land in [0.5, 0.4 * duration]; membership changes
+   in [1.0, 0.35 * duration], once the cluster has settled. *)
+let fault_time d = within d 0.5 (Float.max 1.0 (0.4 *. d.duration))
+let member_time d = within d 1.0 (Float.max 1.5 (0.35 *. d.duration))
+let pick_group d = Rng.int d.rng d.ng
+let pick d l = List.nth l (Rng.int d.rng (List.length l))
+let follower d g = { Topology.g; n = 1 + Rng.int d.rng (d.gs.(g) - 1) }
 let fault at f = { S.at; action = S.Fault f }
 
-let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
-  let gs = spec.Topology.group_sizes in
-  let ng = Array.length gs in
-  let heavy =
-    Config.global_of cfg.Config.system = Config.Per_group_raft && ng >= 3
-  in
-  let t_lo = 0.5 and t_hi = Float.max 1.0 (0.4 *. duration) in
-  let rt () = q (t_lo +. Rng.float rng (t_hi -. t_lo)) in
-  let win lo hi = q (lo +. Rng.float rng (hi -. lo)) in
-  let pick_g () = Rng.int rng ng in
+(* The benign fault mix: 2-6 faults, each healed within a few seconds.
+   Group crashes, WAN message drops and partitions are only drawn for
+   systems whose global phase can repair arbitrary loss (per-group
+   Raft: anti-entropy re-ships, takeover + transfer-back per §V-C).
+   GeoBFT has no global retransmission by design (Table I: it cannot
+   survive a group crash), and Steward's single log stalls with its
+   proposer, so for those systems the mix sticks to recoverable faults:
+   delays, duplication, degradations, gray CPUs, and follower
+   crashes. *)
+let draw_faults d ~system =
+  let gs = d.gs and ng = d.ng and rng = d.rng in
+  let heavy = Config.global_of system = Config.Per_group_raft && ng >= 3 in
   let pick_link () =
-    let s = pick_g () in
+    let s = pick_group d in
     (s, (s + 1 + Rng.int rng (ng - 1)) mod ng)
   in
   let cls () =
@@ -62,14 +86,14 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
   let events = ref [] in
   let add at f = events := fault at f :: !events in
   let gen_slow_cpu () =
-    let g = pick_g () in
+    let g = pick_group d in
     let n = Rng.int rng gs.(g) in
-    add (rt ())
+    add (fault_time d)
       (S.Slow_cpu
          {
            addr = { Topology.g; n };
            factor = float_of_int (2 + Rng.int rng 6);
-           for_s = win 1.0 3.0;
+           for_s = within d 1.0 3.0;
          })
   in
   let n_faults = 2 + Rng.int rng 4 in
@@ -77,35 +101,35 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
     match Rng.int rng (if heavy then 9 else 6) with
     | 0 -> gen_slow_cpu ()
     | 1 ->
-        add (rt ())
+        add (fault_time d)
           (S.Wan_degrade
              {
-               g = pick_g ();
+               g = pick_group d;
                factor = float_of_int (5 + Rng.int rng 10) /. 20.0;
-               for_s = win 1.0 3.0;
+               for_s = within d 1.0 3.0;
              })
     | 2 ->
-        add (rt ())
+        add (fault_time d)
           (S.Lan_degrade
              {
-               g = pick_g ();
+               g = pick_group d;
                factor = float_of_int (5 + Rng.int rng 10) /. 20.0;
-               for_s = win 1.0 2.0;
+               for_s = within d 1.0 2.0;
              })
     | 3 ->
         let src_g, dst_g = pick_link () in
-        add (rt ())
+        add (fault_time d)
           (S.Link_delay
              {
                src_g;
                dst_g;
                add_s = float_of_int (20 + Rng.int rng 80) /. 1000.0;
                cls = cls ();
-               for_s = win 1.0 2.0;
+               for_s = within d 1.0 2.0;
              })
     | 4 ->
         let src_g, dst_g = pick_link () in
-        add (rt ())
+        add (fault_time d)
           (S.Link_dup
              {
                src_g;
@@ -113,11 +137,11 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
                copies = 1 + Rng.int rng 2;
                every = 1 + Rng.int rng 3;
                cls = cls ();
-               for_s = win 1.0 2.0;
+               for_s = within d 1.0 2.0;
              })
     | 5 ->
         (* Follower crash + recover: allowed for every system. *)
-        let g = pick_g () in
+        let g = pick_group d in
         let f = Intmath.pbft_f gs.(g) in
         let candidates =
           List.filter
@@ -125,17 +149,17 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
             (List.init (gs.(g) - 1) (fun i -> i + 1))
         in
         if List.length crashed.(g) < f && candidates <> [] then begin
-          let n = List.nth candidates (Rng.int rng (List.length candidates)) in
+          let n = pick d candidates in
           crashed.(g) <- n :: crashed.(g);
-          let at = rt () in
+          let at = fault_time d in
           add at (S.Crash_node { Topology.g; n });
-          add (q (at +. win 1.0 2.0)) (S.Recover_node { Topology.g; n })
+          add (q (at +. within d 1.0 2.0)) (S.Recover_node { Topology.g; n })
         end
         else gen_slow_cpu ()
     | 6 ->
         (* Acting-leader crash: exercises the PBFT view change and the
            engine's leader migration. *)
-        let g = pick_g () in
+        let g = pick_group d in
         if
           (not !heavy_used)
           && crashed.(g) = []
@@ -143,69 +167,59 @@ let gen_schedule rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration =
         then begin
           heavy_used := true;
           crashed.(g) <- [ 0 ];
-          let at = rt () in
+          let at = fault_time d in
           add at (S.Crash_node { Topology.g; n = 0 });
-          add (q (at +. win 2.0 3.5)) (S.Recover_node { Topology.g; n = 0 })
+          add
+            (q (at +. within d 2.0 3.5))
+            (S.Recover_node { Topology.g; n = 0 })
         end
         else gen_slow_cpu ()
     | 7 ->
-        let g = pick_g () in
+        let g = pick_group d in
         if (not !heavy_used) && crashed.(g) = [] then begin
           heavy_used := true;
           crashed.(g) <- List.init gs.(g) (fun n -> n);
-          let at = rt () in
+          let at = fault_time d in
           add at (S.Crash_group g);
-          add (q (at +. win 1.0 2.0)) (S.Recover_group g)
+          add (q (at +. within d 1.0 2.0)) (S.Recover_group g)
         end
         else gen_slow_cpu ()
     | _ ->
         if not !heavy_used then begin
           heavy_used := true;
           if Rng.bool rng then
-            add (rt ())
-              (S.Partition { groups = [ pick_g () ]; for_s = win 0.5 1.5 })
+            add (fault_time d)
+              (S.Partition
+                 { groups = [ pick_group d ]; for_s = within d 0.5 1.5 })
           else
             let src_g, dst_g = pick_link () in
-            add (rt ())
+            add (fault_time d)
               (S.Link_drop
                  {
                    src_g;
                    dst_g;
                    every = 1 + Rng.int rng 4;
                    cls = cls ();
-                   for_s = win 0.5 1.5;
+                   for_s = within d 0.5 1.5;
                  })
         end
         else gen_slow_cpu ()
   done;
-  S.sorted (List.rev !events)
-
-(* ------------------------------------------------------------------ *)
-(* Attack generation (the campaign's third axis)                      *)
-(* ------------------------------------------------------------------ *)
+  List.rev !events
 
 (* One named strategy drawn into a concrete timed attack, with any
    trigger faults the strategy needs to bite (split-votes only matters
    while a view change is in flight, so it rides on a leader
    crash+recover). Each attack compromises exactly one node per target
-   group — within every group's f >= 1 tolerance — so, as with fault
-   generation, a safety violation under a generated attack is a real
-   bug.
+   group — within every group's f >= 1 tolerance.
    Liveness inside the attack window is not promised (a Byzantine
    leader may stall its group); windows always close, and the liveness
    watchdog only judges the post-heal run. *)
-let gen_adversary rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration
-    ~strategy =
-  ignore cfg;
-  let gs = spec.Topology.group_sizes in
-  let ng = Array.length gs in
-  let t_lo = 0.5 and t_hi = Float.max 1.0 (0.4 *. duration) in
-  let rt () = q (t_lo +. Rng.float rng (t_hi -. t_lo)) in
-  let win lo hi = q (lo +. Rng.float rng (hi -. lo)) in
-  let g = Rng.int rng ng in
-  let at = rt () in
-  let for_s = win 1.5 3.0 in
-  let follower () = { Topology.g; n = 1 + Rng.int rng (gs.(g) - 1) } in
+let draw_attack d strategy =
+  let rng = d.rng in
+  let g = pick_group d in
+  let at = fault_time d in
+  let for_s = within d 1.5 3.0 in
   let attack strategy = [ { S.at; action = S.Attack strategy } ] in
   match strategy with
   | "equivocate" -> attack (S.Equivocate { target = S.Leader g; for_s })
@@ -215,15 +229,14 @@ let gen_adversary rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration
   | "split-votes" ->
       (* The compromised follower forks its view-change votes across
          the recovery the leader crash forces. *)
-      let n = follower () in
+      let n = follower d g in
       attack (S.Split_votes { target = S.Node n; for_s })
-      @ S.sorted
-          [
-            fault at (S.Crash_node { Topology.g; n = 0 });
-            fault
-              (q (at +. win 1.5 2.5))
-              (S.Recover_node { Topology.g; n = 0 });
-          ]
+      @ [
+          fault at (S.Crash_node { Topology.g; n = 0 });
+          fault
+            (q (at +. within d 1.5 2.5))
+            (S.Recover_node { Topology.g; n = 0 });
+        ]
   | "replay" ->
       attack
         (S.Replay
@@ -237,90 +250,93 @@ let gen_adversary rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration
       attack
         (S.Delay_valid
            {
-             target = S.Node (follower ());
+             target = S.Node (follower d g);
              add_s = q (float_of_int (50 + Rng.int rng 250) /. 1000.0);
              for_s;
            })
-  | "tamper" -> attack (S.Tamper { target = S.Node (follower ()); for_s })
-  | s -> invalid_arg ("Chaos.gen_adversary: unknown strategy " ^ s)
+  | "tamper" -> attack (S.Tamper { target = S.Node (follower d g); for_s })
+  | s -> invalid_arg ("Chaos.generate: unknown strategy " ^ s)
 
-(* ------------------------------------------------------------------ *)
-(* Reconfiguration-scenario generation (the fourth campaign axis)      *)
-(* ------------------------------------------------------------------ *)
-
-let reconfig_kinds =
-  [ "node-join"; "node-leave"; "leader-move"; "group-add"; "group-remove" ]
-
-(* One named membership-change kind drawn into a timed command,
-   plus the chaos that makes it a drill rather than a demo: joins get a
-   50% chance of a mid-transfer crash of the joining hardware itself
-   (exercising the fetch lane's stall watchdog, donor rotation and
-   capped backoff), the other kinds get light degradations. Every fault
-   heals and no fault exceeds the evolving membership's tolerance, so a
-   violation under a generated scenario is a real bug. The join-crash
-   addresses refer to slots of the *provisioned* topology (the joining
-   node is [gs.(g)], the joining group is [ng]), which is what
+(* One membership change drawn into a timed command, plus the chaos
+   that makes it a drill rather than a demo: joins get a 50% chance of
+   a mid-transfer crash of the joining hardware itself (exercising the
+   fetch lane's stall watchdog, donor rotation and capped backoff), the
+   other kinds get light degradations. The join-crash addresses refer
+   to slots of the *provisioned* topology (the joining node is
+   [gs.(g)], the joining group is [ng]), which is what
    [Scenario.validate] checks them against. *)
-let gen_reconfig rng ~(cfg : Config.t) ~(spec : Topology.spec) ~duration ~kind
-    =
-  ignore cfg;
-  let gs = spec.Topology.group_sizes in
-  let ng = Array.length gs in
-  let t_lo = 1.0 and t_hi = Float.max 1.5 (0.35 *. duration) in
-  let at = q (t_lo +. Rng.float rng (t_hi -. t_lo)) in
-  let win lo hi = q (lo +. Rng.float rng (hi -. lo)) in
-  let g = Rng.int rng ng in
+let draw_membership d kind =
+  let gs = d.gs and ng = d.ng and rng = d.rng in
+  let at = member_time d in
+  let g = pick_group d in
   let mid_transfer_crash addr =
     if Rng.bool rng then
-      S.sorted
-        [
-          fault (q (at +. win 0.2 0.7)) (S.Crash_node addr);
-          fault (q (at +. win 1.2 2.2)) (S.Recover_node addr);
-        ]
+      [
+        fault (q (at +. within d 0.2 0.7)) (S.Crash_node addr);
+        fault (q (at +. within d 1.2 2.2)) (S.Recover_node addr);
+      ]
     else []
   in
   let light_degrade target_g =
     if Rng.bool rng then
       [
         fault
-          (q (at +. win 0.0 0.5))
+          (q (at +. within d 0.0 0.5))
           (S.Wan_degrade
              {
                g = target_g;
                factor = float_of_int (8 + Rng.int rng 8) /. 20.0;
-               for_s = win 1.0 2.0;
+               for_s = within d 1.0 2.0;
              });
       ]
     else []
   in
   let member cmd = { S.at; action = S.Member cmd } in
   match kind with
-  | "node-join" ->
+  | Node_join ->
       member (S.Add_node g) :: mid_transfer_crash { Topology.g; n = gs.(g) }
-  | "node-leave" -> (
+  | Node_leave -> (
       (* The validation floor: a group must keep n >= 4 after the
          retirement. *)
       match List.filter (fun g -> gs.(g) >= 5) (List.init ng Fun.id) with
       | [] ->
-          invalid_arg
-            "Chaos.gen_reconfig: node-leave needs a group of >= 5 nodes"
+          invalid_arg "Chaos.generate: node-leave needs a group of >= 5 nodes"
       | cs ->
-          let g = List.nth cs (Rng.int rng (List.length cs)) in
+          let g = pick d cs in
           member (S.Remove_node g) :: light_degrade g)
-  | "leader-move" ->
-      let n = 1 + Rng.int rng (gs.(g) - 1) in
-      member (S.Move_leader { Topology.g; n }) :: light_degrade g
-  | "group-add" ->
+  | Leader_move ->
+      let addr = follower d g in
+      member (S.Move_leader addr) :: light_degrade g
+  | Group_add ->
       let size = 4 + Rng.int rng 2 in
       member (S.Add_group { size })
       :: mid_transfer_crash { Topology.g = ng; n = 0 }
-  | "group-remove" ->
+  | Group_remove ->
       if ng < 3 then
-        invalid_arg "Chaos.gen_reconfig: group-remove needs >= 3 groups"
+        invalid_arg "Chaos.generate: group-remove needs >= 3 groups"
       else
         let g = 1 + Rng.int rng (ng - 1) in
         member (S.Remove_group g) :: light_degrade g
-  | k -> invalid_arg ("Chaos.gen_reconfig: unknown kind " ^ k)
+
+(* A membership change is drawn first, with its own paired chaos. An
+   attack then brings only its trigger faults, so the attack window
+   never compounds with unrelated random faults into a scenario beyond
+   the system's claimed tolerance; only a recipe naming neither draws
+   the fault mix. Every fault heals and none exceeds a group's
+   tolerance, so any invariant violation is a real bug. *)
+let generate rng ~(spec : Topology.spec) ~duration ~system recipe =
+  let gs = spec.Topology.group_sizes in
+  let d = { rng; gs; ng = Array.length gs; duration } in
+  let members =
+    Option.fold ~none:[] ~some:(draw_membership d) recipe.membership
+  in
+  S.sorted
+    (members
+    @
+    match recipe with
+    | { attack = Some s; _ } -> draw_attack d s
+    | { attack = None; membership = None } -> draw_faults d ~system
+    | { attack = None; membership = Some _ } -> [])
 
 (* ------------------------------------------------------------------ *)
 (* Running one scenario                                                *)
@@ -434,9 +450,8 @@ let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace ?registry
 
 let failed outcome = outcome.violations <> []
 
-(* The CI pass criterion under an adversary: every run either upholds
-   all invariants or pins each violation on a provably-equivocating
-   node. *)
+(* The drill's pass criterion: every run either upholds all invariants
+   or pins each violation on a provably-equivocating node. *)
 let accountable outcome = outcome.unaccountable = []
 
 (* ------------------------------------------------------------------ *)
@@ -474,49 +489,20 @@ let shrink ~fails schedule =
 (* Drill and campaign                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let repro_line ?adversary ?reconfig ?(domains = 1) ~seed
-    ~(system : Config.system) () =
-  Printf.sprintf "massbft drill --seed %Ld --system %s --domains %d%s%s" seed
-    (String.lowercase_ascii (Config.system_name system))
-    domains
-    (match reconfig with None -> "" | Some k -> " --reconfig " ^ k)
-    (match adversary with None -> "" | Some s -> " --adversary " ^ s)
-
 type drill_result = {
   seed : int64;
   system : Config.system;
-  strategy : string option;  (* adversary axis point, if any *)
-  reconfig_kind : string option;  (* reconfiguration axis point, if any *)
+  recipe : recipe;
   outcome : outcome;
   shrunk : S.t option;  (* minimal failing scenario, when the original failed *)
 }
 
 let drill ?duration ?liveness_bound_s ?trace ?registry ?(shrink_failures = true)
-    ?adversary ?reconfig ?domains ~spec ~cfg ~seed () =
-  let rng = Rng.create seed in
-  let gen_duration = Option.value ~default:10.0 duration in
-  (* With an adversary strategy the drill goes all-in on it: the
-     scenario carries only the strategy's trigger faults, so the attack
-     window never compounds with unrelated random faults into a
-     scenario beyond the system's claimed tolerance. A reconfiguration
-     kind contributes its membership change plus its own paired chaos;
-     combined with an adversary, both land in the same run (the
-     "Byzantine leader during a membership change" drill). *)
-  let membership =
-    match reconfig with
-    | None -> []
-    | Some kind -> gen_reconfig rng ~cfg ~spec ~duration:gen_duration ~kind
-  in
+    ?(recipe = benign) ?domains ~spec ~cfg ~seed () =
   let scenario =
-    S.sorted
-      (membership
-      @
-      match adversary with
-      | Some strategy ->
-          gen_adversary rng ~cfg ~spec ~duration:gen_duration ~strategy
-      | None when reconfig = None ->
-          gen_schedule rng ~cfg ~spec ~duration:gen_duration
-      | None -> [])
+    generate (Rng.create seed) ~spec
+      ~duration:(Option.value ~default:10.0 duration)
+      ~system:cfg.Config.system recipe
   in
   let outcome =
     run_schedule ?duration ?liveness_bound_s ?trace ?registry ?domains ~spec
@@ -547,14 +533,7 @@ let drill ?duration ?liveness_bound_s ?trace ?registry ?(shrink_failures = true)
     end
     else None
   in
-  {
-    seed;
-    system = cfg.Config.system;
-    strategy = adversary;
-    reconfig_kind = reconfig;
-    outcome;
-    shrunk;
-  }
+  { seed; system = cfg.Config.system; recipe; outcome; shrunk }
 
 type campaign_result = {
   total : int;
@@ -562,42 +541,25 @@ type campaign_result = {
   failures : drill_result list;
 }
 
-let campaign ?duration ?liveness_bound_s ?(shrink_failures = false)
-    ?(systems = Config.all_systems) ?(adversaries = []) ?(reconfigs = [])
-    ?on_run ?domains ~spec ~cfg ~seeds () =
-  (* The axes: systems x seeds x adversary strategies x reconfiguration
-     kinds. Empty strategy/kind lists keep the classic two-axis fault
-     campaign; both together drill Byzantine behaviour during
-     membership changes. *)
-  let adv_axis =
-    match adversaries with
-    | [] -> [ None ]
-    | strategies -> List.map Option.some strategies
-  in
-  let rec_axis =
-    match reconfigs with
-    | [] -> [ None ]
-    | kinds -> List.map Option.some kinds
-  in
+let campaign ?duration ?liveness_bound_s ?trace ?(shrink_failures = false)
+    ?(systems = Config.all_systems) ?(recipes = [ benign ]) ?on_run ?domains
+    ~spec ~cfg ~seeds () =
   let results =
     List.concat_map
       (fun system ->
         List.concat_map
-          (fun adversary ->
-            List.concat_map
-              (fun reconfig ->
-                List.map
-                  (fun seed ->
-                    let r =
-                      drill ?duration ?liveness_bound_s ~shrink_failures
-                        ?adversary ?reconfig ?domains ~spec
-                        ~cfg:{ cfg with Config.system } ~seed ()
-                    in
-                    (match on_run with Some f -> f r | None -> ());
-                    r)
-                  seeds)
-              rec_axis)
-          adv_axis)
+          (fun recipe ->
+            List.map
+              (fun seed ->
+                let r =
+                  drill ?duration ?liveness_bound_s ?trace ~shrink_failures
+                    ~recipe ?domains ~spec ~cfg:{ cfg with Config.system }
+                    ~seed ()
+                in
+                Option.iter (fun f -> f r) on_run;
+                r)
+              seeds)
+          recipes)
       systems
   in
   {
@@ -617,14 +579,13 @@ let pp_drill fmt r =
   Format.fprintf fmt "%-9s seed=%-6Ld %s=%-2d%s executed=%-5d %s"
     (Config.system_name r.system)
     r.seed
-    (match r.strategy with
-    | None -> "faults"
-    | Some s -> s)
+    (Option.value ~default:"faults" r.recipe.attack)
     (List.length
        (List.filter
           (fun e -> match e.S.action with S.Member _ -> false | _ -> true)
           r.outcome.scenario))
-    (match r.reconfig_kind with
+    (match r.recipe.membership with
     | None -> ""
-    | Some k -> Printf.sprintf " %s epochs=%d" k r.outcome.epochs)
+    | Some m ->
+        Printf.sprintf " %s epochs=%d" (membership_name m) r.outcome.epochs)
     r.outcome.executed status

@@ -1,63 +1,68 @@
 (** Seeded chaos fuzzer: random scenario generation, campaign driving,
     and delta-debugging shrink of failing scenarios.
 
-    Everything is deterministic in the seed: the same seed against the
-    same config and cluster spec generates a byte-identical scenario and
-    a result-identical run, so a campaign failure is reproducible as
-    [massbft drill --seed S --system SYS] (see {!repro_line}).
+    Everything is deterministic in the seed: the same seed, recipe,
+    system and cluster spec generate a byte-identical scenario and a
+    result-identical run, so a campaign failure reproduces from its
+    [massbft drill --seed S ...] line.
 
-    The generator is system-aware: group crashes, WAN drops and
-    partitions are only drawn for systems whose global phase retransmits
-    (per-group Raft); it crashes at most f nodes per group and heals
-    every fault it injects, so a generated scenario is always within the
-    system's claimed fault tolerance and any invariant violation is a
-    real bug. *)
+    A generated scenario crashes at most f nodes per group, compromises
+    at most one node per attacked group, and heals every fault it
+    injects: it is always within the system's claimed fault tolerance,
+    so any invariant violation is a real bug. *)
 
-val gen_schedule :
-  Massbft_util.Rng.t ->
-  cfg:Massbft.Config.t ->
-  spec:Massbft_sim.Topology.spec ->
-  duration:float ->
-  Massbft_scenario.Scenario.t
-(** Draw 2–6 faults landing in [0.5, 0.4*duration], all healed within a
-    few seconds after. Times are millisecond-quantized so the text form
-    round-trips exactly. *)
+(** {1 Generation} *)
 
-val gen_adversary :
-  Massbft_util.Rng.t ->
-  cfg:Massbft.Config.t ->
-  spec:Massbft_sim.Topology.spec ->
-  duration:float ->
-  strategy:string ->
-  Massbft_scenario.Scenario.t
-(** Draw a concrete timed attack for one named strategy (a member of
-    {!Massbft_scenario.Scenario.attack_names}), plus any trigger faults
-    the strategy needs to bite (split-votes rides on a leader
-    crash+recover). Attacks compromise exactly one node per target
-    group — within every group's tolerance — so a safety violation
-    under a generated attack is a real bug. Raises [Invalid_argument]
-    on an unknown strategy name. *)
+type membership = Node_join | Node_leave | Leader_move | Group_add | Group_remove
 
-val reconfig_kinds : string list
-(** The reconfiguration campaign axis: ["node-join"], ["node-leave"],
+val memberships : (string * membership) list
+(** Campaign order and CLI names: ["node-join"], ["node-leave"],
     ["leader-move"], ["group-add"], ["group-remove"]. *)
 
-val gen_reconfig :
+val membership_name : membership -> string
+
+type recipe = {
+  attack : string option;
+      (** a member of {!Massbft_scenario.Scenario.attack_names} *)
+  membership : membership option;
+}
+(** What one generated scenario drills. A recipe naming neither draws
+    the benign fault mix. *)
+
+val benign : recipe
+(** [{ attack = None; membership = None }]. *)
+
+val generate :
   Massbft_util.Rng.t ->
-  cfg:Massbft.Config.t ->
   spec:Massbft_sim.Topology.spec ->
   duration:float ->
-  kind:string ->
+  system:Massbft.Config.system ->
+  recipe ->
   Massbft_scenario.Scenario.t
-(** Draw one membership change of the named kind plus its paired
-    chaos: joins get a 50% chance of a mid-transfer crash of the joining
-    hardware (exercising the fetch lane's stall watchdog, donor rotation
-    and backoff), other kinds get light degradations. Fault
-    addresses may refer to slots of the *provisioned* topology, which
-    {!Massbft_scenario.Scenario.validate} accepts. Raises
-    [Invalid_argument] on an unknown kind, or when the cluster cannot
-    host the scenario (node-leave needs a group of 5, group-remove
-    needs 3 groups). *)
+(** Draw one time-sorted scenario. Times are millisecond-quantized so
+    the text form round-trips exactly.
+
+    - The benign fault mix is 2–6 faults landing between 0.5 s and
+      0.4 × duration, all healed within a few seconds after.
+      Group crashes, WAN drops and partitions are only drawn for
+      systems whose global phase retransmits (per-group Raft).
+    - A membership change lands between 1 s and 0.35 × duration, with
+      its paired chaos: joins get a 50% chance of a mid-transfer crash of
+      the joining hardware (exercising the fetch lane's stall watchdog,
+      donor rotation and backoff), other kinds light degradations.
+      Fault addresses may refer to slots of the {e provisioned}
+      topology, which {!Massbft_scenario.Scenario.validate} accepts.
+    - An attack compromises exactly one node of one group for one
+      strategy window, plus any trigger faults the strategy needs to
+      bite (split-votes rides on a leader crash+recover). It replaces
+      the fault mix, so attack windows never compound with unrelated
+      faults.
+
+    Raises [Invalid_argument] on an unknown strategy, or when the
+    cluster cannot host the membership change (node-leave needs a group
+    of 5, group-remove needs 3 groups). *)
+
+(** {1 Running} *)
 
 type outcome = {
   scenario : Massbft_scenario.Scenario.t;
@@ -110,8 +115,9 @@ val failed : outcome -> bool
 val accountable : outcome -> bool
 (** No unaccountable violations: the run either upheld every invariant
     or pinned each violation on a provably-equivocating node via a
-    verified conflicting-signed-message pair. The CI pass criterion for
-    adversary campaigns. *)
+    verified conflicting-signed-message pair. The drill's pass
+    criterion; a run without an adversary has no evidence, so there it
+    means not {!failed}. *)
 
 val shrink : fails:('a list -> bool) -> 'a list -> 'a list
 (** ddmin: a 1-minimal-ish sub-list still satisfying [fails] (dropping
@@ -121,8 +127,7 @@ val shrink : fails:('a list -> bool) -> 'a list -> 'a list
 type drill_result = {
   seed : int64;
   system : Massbft.Config.system;
-  strategy : string option;  (** adversary axis point, if any *)
-  reconfig_kind : string option;  (** reconfiguration axis point, if any *)
+  recipe : recipe;
   outcome : outcome;
   shrunk : Massbft_scenario.Scenario.t option;
       (** minimal failing scenario, when the original failed: attacks
@@ -135,23 +140,17 @@ val drill :
   ?trace:Massbft_trace.Trace.t ->
   ?registry:Massbft_obs.Registry.t ->
   ?shrink_failures:bool ->
-  ?adversary:string ->
-  ?reconfig:string ->
+  ?recipe:recipe ->
   ?domains:int ->
   spec:Massbft_sim.Topology.spec ->
   cfg:Massbft.Config.t ->
   seed:int64 ->
   unit ->
   drill_result
-(** One fuzzing round: generate from [seed], run, and (by default)
-    shrink on failure. With [adversary] (a strategy name) the round
-    runs that strategy's generated attack plus its trigger faults
-    instead of random faults; on failure both the attacks and the
-    faults are ddmin-shrunk. With [reconfig] (a member of
-    {!reconfig_kinds}) the round runs that membership change plus its
-    paired chaos; the membership commands are the scenario's identity
-    and are never shrunk. Both together drill Byzantine behaviour
-    during a membership change. *)
+(** One fuzzing round: {!generate} from [seed] and [recipe] (default
+    {!benign}), run, and (by default) shrink on failure: the attacks
+    first, then the faults. The membership commands are the scenario's
+    identity and are never shrunk. *)
 
 type campaign_result = {
   total : int;
@@ -162,10 +161,10 @@ type campaign_result = {
 val campaign :
   ?duration:float ->
   ?liveness_bound_s:float ->
+  ?trace:Massbft_trace.Trace.t ->
   ?shrink_failures:bool ->
   ?systems:Massbft.Config.system list ->
-  ?adversaries:string list ->
-  ?reconfigs:string list ->
+  ?recipes:recipe list ->
   ?on_run:(drill_result -> unit) ->
   ?domains:int ->
   spec:Massbft_sim.Topology.spec ->
@@ -173,22 +172,10 @@ val campaign :
   seeds:int64 list ->
   unit ->
   campaign_result
-(** Every system (default: all seven) times every seed — times every
-    [adversaries] strategy and every [reconfigs] kind when those axes
-    are given, overriding [cfg]'s system per run. [shrink_failures]
-    defaults to false here — campaigns report; {!drill} reproduces and
-    shrinks. *)
-
-val repro_line :
-  ?adversary:string ->
-  ?reconfig:string ->
-  ?domains:int ->
-  seed:int64 ->
-  system:Massbft.Config.system ->
-  unit ->
-  string
-(** The one-liner that reproduces a campaign failure, carrying every
-    axis the failing run used ([--domains], [--reconfig],
-    [--adversary]). *)
+(** Every system (default: all seven) times every recipe (default:
+    [[benign]]) times every seed, in that nesting order, overriding
+    [cfg]'s system per run. [trace] records every run into one sink.
+    [shrink_failures] defaults to false here — campaigns report;
+    {!drill} reproduces and shrinks. *)
 
 val pp_drill : Format.formatter -> drill_result -> unit

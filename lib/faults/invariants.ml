@@ -14,7 +14,9 @@
      commit index only advances;
    - liveness: once every injected fault has healed ([heal_by]),
      executed entries must keep advancing within [liveness_bound_s]
-     (a watchdog, not a safety property — reported once). *)
+     (a watchdog, not a safety property — reported once);
+   - at finalize: ledger integrity, exactly-once execution and
+     execution determinism. *)
 
 module Sim = Massbft_sim.Sim
 module Engine = Massbft.Engine
@@ -261,17 +263,44 @@ let attach ?(period = 0.25) t =
   in
   tick ()
 
-(* End-of-run checks over final state: hash-chain integrity of every
-   group's ledger, plus execution determinism — equal-height ledgers
-   (which cross_chain has shown hash-equal) must have produced equal
-   database states. *)
+(* A second block for one (gid, seq) is a double execution. When every
+   leader repeats it in the same order the chains still agree, so
+   cross_chain cannot see it. No evidence: whatever a Byzantine node
+   sends, an honest leader's own ledger must hold each entry once. *)
+let check_exactly_once t g =
+  let first = Hashtbl.create 1024 in
+  let repeats =
+    List.filter_map
+      (fun (b : Ledger.block) ->
+        let key = (b.Ledger.gid, b.Ledger.seq) in
+        match Hashtbl.find_opt first key with
+        | Some h -> Some (b, h)
+        | None ->
+            Hashtbl.add first key b.Ledger.height;
+            None)
+      (Ledger.blocks (Engine.ledger_of t.engine ~gid:g))
+  in
+  match repeats with
+  | [] -> ()
+  | (b, h) :: _ ->
+      record t "exactly_once"
+        (Printf.sprintf
+           "group %d's ledger holds %d repeated block(s), first g%d seq %d \
+            at height %d, already at height %d"
+           g (List.length repeats) b.Ledger.gid b.Ledger.seq b.Ledger.height h)
+
+(* End-of-run checks over final state: hash-chain integrity and
+   exactly-once execution in every group's ledger, plus execution
+   determinism — equal-height ledgers (which cross_chain has shown
+   hash-equal) must have produced equal database states. *)
 let finalize t =
   check_now t;
   let ng = Engine.n_groups t.engine in
   for g = 0 to ng - 1 do
     if not (Ledger.verify (Engine.ledger_of t.engine ~gid:g)) then
       record ?evidence:(any_evidence t) t "ledger_integrity"
-        (Printf.sprintf "group %d's ledger fails hash-chain verification" g)
+        (Printf.sprintf "group %d's ledger fails hash-chain verification" g);
+    check_exactly_once t g
   done;
   let heights =
     List.init ng (fun g -> Ledger.height (Engine.ledger_of t.engine ~gid:g))

@@ -14,9 +14,11 @@
       entries keep advancing within a bound (a watchdog — reported at
       most once per run);
 
-    plus, at {!finalize}: per-group ledger hash-chain integrity and
-    execution determinism (equal-height ledgers must yield equal
-    database fingerprints).
+    plus, at {!finalize}: per-group ledger hash-chain integrity,
+    {b exactly_once} (no leader ledger holds two blocks for one
+    (gid, seq); never evidenced — no Byzantine node can excuse an honest
+    leader executing an entry twice) and execution determinism
+    (equal-height ledgers must yield equal database fingerprints).
 
     Under an adversary ({!Massbft_adversary.Adversary}), pass the run's
     [compromised] predicate and [evidence] log: safety comparisons then

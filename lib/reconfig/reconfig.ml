@@ -434,6 +434,9 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
   Entry_tbl.iter
     (fun k v -> Entry_tbl.replace dst.N.l_round_ready k v)
     src.N.l_round_ready;
+  Entry_tbl.iter
+    (fun k v -> Entry_tbl.replace dst.N.l_log_committed k v)
+    src.N.l_log_committed;
   dst.N.l_next_round <- src.N.l_next_round;
   (* Anything buffered while dark is part of the cloned history. *)
   Queue.clear dst.N.l_deferred;

@@ -365,7 +365,8 @@ let test_injection_counter_strategy_label () =
 let test_adversary_drill_deterministic () =
   let cfg = small_cfg () and spec = small_spec () in
   let go () =
-    Chaos.drill ~duration:4.0 ~shrink_failures:false ~adversary:"equivocate"
+    Chaos.drill ~duration:4.0 ~shrink_failures:false
+      ~recipe:{ Chaos.benign with attack = Some "equivocate" }
       ~spec ~cfg ~seed:11L ()
   in
   let a = go () and b = go () in
@@ -378,6 +379,34 @@ let test_adversary_drill_deterministic () =
     b.Chaos.outcome.Chaos.adv_injected;
   check_bool "identical verdict" true
     (Chaos.failed a.Chaos.outcome = Chaos.failed b.Chaos.outcome)
+
+(* `massbft drill --seed 1 --system steward --quick --adversary
+   split-votes` passed every check while each leader executed g0 seq
+   10..17 twice: the recovered g0 leader re-proposed in-flight entries
+   that had already committed, and Steward's single log committed them
+   again. exactly_once now sees the repeats; first-commit-wins ordering
+   removes them. *)
+let test_steward_split_votes_executes_once () =
+  let cfg =
+    {
+      (Config.default ~system:Config.Steward ()) with
+      Config.workload_scale = 0.01;
+    }
+  in
+  let spec = Clusters.nationwide ~nodes_per_group:7 ~groups:3 () in
+  let r =
+    Chaos.drill ~duration:8.0 ~shrink_failures:false
+      ~recipe:{ Chaos.benign with attack = Some "split-votes" }
+      ~spec ~cfg ~seed:1L ()
+  in
+  let o = r.Chaos.outcome in
+  check_string "the drilled scenario"
+    "@1.905 split-votes node:g0/n6 for 2.361\n@1.905 crash-node g0/n0\n\
+     @4.102 recover-node g0/n0\n"
+    (A.to_string o.Chaos.scenario);
+  List.iter
+    (fun v -> Alcotest.fail (Invariants.violation_to_string v))
+    o.Chaos.violations
 
 let () =
   Alcotest.run "adversary"
@@ -419,5 +448,10 @@ let () =
         [
           Alcotest.test_case "same seed, same adversary run" `Slow
             test_adversary_drill_deterministic;
+        ] );
+      ( "exactly-once",
+        [
+          Alcotest.test_case "Steward split-votes recovery" `Slow
+            test_steward_split_votes_executes_once;
         ] );
     ]

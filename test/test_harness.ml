@@ -1,6 +1,6 @@
 (* Tests for the experiment harness: cluster topologies, the runner's
    accounting, and the cheap figures (the expensive sweeps are covered
-   by bench/main.ml and spot-checked here in quick mode). *)
+   by `massbft figures` and spot-checked here in quick mode). *)
 
 module Clusters = Massbft_harness.Clusters
 module Runner = Massbft_harness.Runner
@@ -358,7 +358,8 @@ let test_domains_chaos_equivalence () =
     { (small_cfg Config.Massbft) with Config.independent_stores = true }
   in
   let schedule =
-    Chaos.gen_schedule (Rng.create 11L) ~cfg ~spec ~duration:8.0
+    Chaos.generate (Rng.create 11L) ~spec ~duration:8.0 ~system:cfg.Config.system
+      Chaos.benign
   in
   let go domains =
     Chaos.run_schedule ~duration:8.0 ~domains ~spec ~cfg schedule

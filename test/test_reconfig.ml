@@ -291,21 +291,13 @@ let test_validate () =
 (* Seeded determinism of the scenario generator                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The recipes with a membership change: every kind, alone and under
+   each strategy. test_faults checks the rest of the table. *)
 let test_gen_reconfig_deterministic () =
-  let cfg = small_cfg () in
-  let spec = Clusters.nationwide ~nodes_per_group:5 () in
-  List.iter
-    (fun kind ->
-      let gen seed =
-        S.to_string
-          (Chaos.gen_reconfig (Rng.create seed) ~cfg ~spec ~duration:8.0 ~kind)
-      in
-      let text = gen 42L in
-      check_string (kind ^ ": same seed, same scenario") text (gen 42L);
-      check_bool (kind ^ ": generated scenario validates") true
-        (S.validate ~group_sizes:spec.Topology.group_sizes (S.of_string text)
-        = Ok ()))
-    Chaos.reconfig_kinds
+  Recipe_table.check_deterministic
+    (List.filter
+       (fun r -> r.Chaos.membership <> None)
+       Recipe_table.every_recipe)
 
 (* ------------------------------------------------------------------ *)
 (* The no-op guarantee                                                 *)
@@ -416,14 +408,47 @@ let test_ebr_join_under_equivocation () =
   in
   let spec = Clusters.nationwide ~nodes_per_group:7 ~groups:3 () in
   let r =
-    Chaos.drill ~duration:8.0 ~shrink_failures:false ~adversary:"equivocate"
-      ~reconfig:"node-join" ~spec ~cfg ~seed:1L ()
+    Chaos.drill ~duration:8.0 ~shrink_failures:false
+      ~recipe:
+        { Chaos.attack = Some "equivocate"; membership = Some Chaos.Node_join }
+      ~spec ~cfg ~seed:1L ()
   in
   let o = r.Chaos.outcome in
   check_string "the drilled scenario"
     "@2.265 add-node g2\n@2.382 equivocate leader:g2 for 1.715\n"
     (S.to_string o.Chaos.scenario);
   check_bool "the leader equivocated" true (o.Chaos.adv_injected > 0);
+  check_int "the join's epoch executed" 1 o.Chaos.epochs;
+  List.iter
+    (fun v -> Alcotest.fail (Massbft_faults.Invariants.violation_to_string v))
+    o.Chaos.violations
+
+(* `massbft drill --seed 2 --system steward --quick --reconfig node-join
+   --adversary split-votes`. The recovered g0 leader re-proposed its
+   in-flight entries, some of which had already committed, and
+   Steward's single log executed them a second time: every leader's
+   ledger repeated g0 seq 10..17, and the join's boundary e(0,15)
+   flipped the membership twice, at positions 33 and 47. *)
+let test_steward_join_under_split_votes () =
+  let cfg =
+    {
+      (Config.default ~system:Config.Steward ()) with
+      Config.workload_scale = 0.01;
+    }
+  in
+  let spec = Clusters.nationwide ~nodes_per_group:7 ~groups:3 () in
+  let r =
+    Chaos.drill ~duration:8.0 ~shrink_failures:false
+      ~recipe:
+        { Chaos.attack = Some "split-votes"; membership = Some Chaos.Node_join }
+      ~spec ~cfg ~seed:2L ()
+  in
+  let o = r.Chaos.outcome in
+  check_string "the drilled scenario"
+    "@1.184 add-node g2\n@1.727 crash-node g2/n7\n\
+     @2.247 split-votes node:g0/n6 for 1.829\n@2.247 crash-node g0/n0\n\
+     @3.132 recover-node g2/n7\n@4.496 recover-node g0/n0\n"
+    (S.to_string o.Chaos.scenario);
   check_int "the join's epoch executed" 1 o.Chaos.epochs;
   List.iter
     (fun v -> Alcotest.fail (Massbft_faults.Invariants.violation_to_string v))
@@ -439,21 +464,18 @@ let test_ebr_join_under_equivocation () =
    _build/default/test, next to the built CLI. *)
 let cli = Filename.concat (Filename.concat ".." "bin") "massbft_cli.exe"
 
-let run_cli args =
-  let err = Filename.temp_file "massbft_cli" ".err" in
+(* The exit code and the lines of stderr — or of stdout, with
+   [~stdout:true]; the other stream is dropped. *)
+let run_cli ?(stdout = false) args =
+  let file = Filename.temp_file "massbft_cli" ".out" in
   let code =
-    Sys.command (Printf.sprintf "%s %s >/dev/null 2>%s" cli args err)
+    Sys.command
+      (if stdout then Printf.sprintf "%s %s >%s 2>/dev/null" cli args file
+       else Printf.sprintf "%s %s >/dev/null 2>%s" cli args file)
   in
-  let ic = open_in err in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Sys.remove err;
-  (code, List.rev !lines)
+  let lines = In_channel.with_open_bin file In_channel.input_lines in
+  Sys.remove file;
+  (code, lines)
 
 let write_temp ext text =
   let f = Filename.temp_file "massbft_scenario" ext in
@@ -534,6 +556,53 @@ let test_cli_replays_joining_slot () =
       0 code
   end
 
+(* A failing drill prints a repro line; running that line must
+   regenerate the same scenario. The run uses non-default --quick,
+   --nodes, --groups and --scale, all of which shape the scenario or
+   the run. *)
+let test_cli_repro_regenerates_scenario () =
+  if not (Sys.file_exists cli) then Alcotest.skip ()
+  else begin
+    let drill args =
+      let _, lines = run_cli ~stdout:true (args ^ " --no-shrink") in
+      let rec events = function
+        | l :: rest when String.starts_with ~prefix:"    " l -> l :: events rest
+        | _ -> []
+      in
+      let rec scenario = function
+        | "  scenario:" :: rest -> events rest
+        | _ :: rest -> scenario rest
+        | [] -> []
+      in
+      let repro =
+        List.find_map
+          (fun l ->
+            let prefix = "  repro: massbft " in
+            if String.starts_with ~prefix l then
+              Some
+                (String.sub l (String.length prefix)
+                   (String.length l - String.length prefix))
+            else None)
+          lines
+      in
+      (scenario lines, repro)
+    in
+    let scenario, repro =
+      drill
+        "drill --seed 1 --quick --nodes 4 --groups 4 --scale 0.02 \
+         --adversary equivocate-raft"
+    in
+    check_bool "the out-of-model drill fails and prints its scenario" true
+      (scenario <> []);
+    match repro with
+    | None -> Alcotest.fail "no repro line"
+    | Some repro ->
+        let again, _ = drill repro in
+        check_string ("`massbft " ^ repro ^ "` regenerates the scenario")
+          (String.concat "\n" scenario)
+          (String.concat "\n" again)
+  end
+
 let () =
   Alcotest.run "reconfig"
     [
@@ -566,6 +635,8 @@ let () =
             test_mid_transfer_crash_shrinks;
           Alcotest.test_case "mixed-axis EBR join under equivocation" `Slow
             test_ebr_join_under_equivocation;
+          Alcotest.test_case "mixed-axis Steward join under split-votes" `Slow
+            test_steward_join_under_split_votes;
         ] );
       ( "cli",
         [
@@ -573,5 +644,7 @@ let () =
             test_cli_exit2_diagnostics;
           Alcotest.test_case "replay crashing a joining slot" `Slow
             test_cli_replays_joining_slot;
+          Alcotest.test_case "repro line regenerates the scenario" `Slow
+            test_cli_repro_regenerates_scenario;
         ] );
     ]
